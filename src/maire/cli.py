@@ -57,7 +57,8 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda2", type=float, default=5.0)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--iters", type=int, default=2500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the synthetic data and of the query and anchor draws")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--trace", action="store_true", help="write trace.jsonl per query")
     p.add_argument("--out-dir", default=".", help="output directory")
@@ -116,7 +117,6 @@ def _optimizer_config(args) -> OptimizerConfig:
         max_iters=args.iters,
         lambda1=args.lambda1,
         lambda2=args.lambda2,
-        seed=args.seed,
         containment_snap=not args.no_containment_snap,
     )
 
@@ -148,8 +148,8 @@ def _write_explanation(expl: Explanation, out_dir: Path, stem: str, trace: bool)
         trace_path = out_dir / f"{stem}_trace.jsonl"
         expl.trace.write_jsonl(str(trace_path))
         record["trace"] = trace_path.name
-    (out_dir / f"{stem}.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
-                                          encoding="utf-8")
+    (out_dir / f"{stem}.json").write_text(
+        json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
     (out_dir / f"{stem}.rule.txt").write_text(expl.rule_text() + "\n", encoding="utf-8")
     print(expl.rule_text())
 
@@ -229,9 +229,10 @@ def cmd_bounds_audit(args) -> int:
     }
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "bounds_audit.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                               encoding="utf-8")
-    print(json.dumps({k: report[k] for k in ("queries", "mse_coverage", "mse_precision")}))
+    (out_dir / "bounds_audit.json").write_text(
+        json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+    print(json.dumps({k: report[k] for k in ("queries", "mse_coverage", "mse_precision")},
+                     allow_nan=False))
     return EXIT_OK
 
 

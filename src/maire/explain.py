@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blackbox import PredictionProvider, predict_batch
-from .indicator import ApproxConstants, BoxBounds, cov_exact, inside_mask, pre_exact_or_none
+from .indicator import ApproxConstants, BoxBounds, cov_exact, pre_exact_or_none
 from .optimize import OptimizerConfig, OptimizationTrace, initial_bounds, optimize
 from .schema import (
     AttributeSchema,
@@ -66,7 +66,7 @@ class Explanation:
 
 def render(expl: Explanation) -> tuple[str, str]:
     """Deterministic rule text and its JSON record."""
-    return expl.rule_text(), json.dumps(expl.to_record(), sort_keys=True)
+    return expl.rule_text(), json.dumps(expl.to_record(), sort_keys=True, allow_nan=False)
 
 
 def _axis_masks(l: np.ndarray, u: np.ndarray, X: np.ndarray, space: EncodedSpace) -> np.ndarray:
@@ -156,6 +156,37 @@ def _eliminate(
     return l, u, order, coverage_path
 
 
+def _explanation(
+    l: np.ndarray,
+    u: np.ndarray,
+    space: EncodedSpace,
+    X: np.ndarray,
+    labels: np.ndarray,
+    query_label: int,
+    threshold: float,
+    query_encoded: np.ndarray,
+    query_raw: list | None,
+    elimination_order: list[str],
+    trace: OptimizationTrace | None,
+) -> Explanation:
+    """Decode final bounds into clauses and measure them exactly."""
+    bounds = BoxBounds(l, u)
+    clauses = decode_bounds(bounds.l, bounds.u, space)
+    pre = pre_exact_or_none(bounds, X, labels, query_label)
+    return Explanation(
+        bounds=bounds,
+        clauses=clauses,
+        coverage=cov_exact(bounds, X),
+        precision=pre,
+        query_label=int(query_label),
+        feasible=pre is not None and pre >= threshold,
+        query_encoded=query_encoded,
+        query_raw=query_raw,
+        elimination_order=elimination_order,
+        trace=trace,
+    )
+
+
 def greedy_eliminate(
     expl: Explanation,
     space: EncodedSpace,
@@ -169,21 +200,9 @@ def greedy_eliminate(
     match = np.asarray(labels) == expl.query_label
     l, u, order, _ = _eliminate(expl.bounds.l, expl.bounds.u, space, X, match,
                                 threshold, max_attrs)
-    bounds = BoxBounds(l, u)
-    clauses = decode_bounds(bounds.l, bounds.u, space)
-    pre = pre_exact_or_none(bounds, X, labels, expl.query_label)
-    return Explanation(
-        bounds=bounds,
-        clauses=clauses,
-        coverage=cov_exact(bounds, X),
-        precision=pre,
-        query_label=expl.query_label,
-        feasible=pre is not None and pre >= threshold,
-        query_encoded=expl.query_encoded,
-        query_raw=expl.query_raw,
-        elimination_order=expl.elimination_order + order,
-        trace=expl.trace,
-    )
+    return _explanation(l, u, space, X, labels, expl.query_label, threshold,
+                        expl.query_encoded, expl.query_raw, expl.elimination_order + order,
+                        expl.trace)
 
 
 def explain_encoded(
@@ -207,21 +226,8 @@ def explain_encoded(
     match = np.asarray(labels) == query_label
     l, u, order, _ = _eliminate(box.l, box.u, space, X, match,
                                 cfg.precision_threshold, cap)
-    bounds = BoxBounds(l, u)
-    clauses = decode_bounds(bounds.l, bounds.u, space)
-    pre = pre_exact_or_none(bounds, X, labels, query_label)
-    return Explanation(
-        bounds=bounds,
-        clauses=clauses,
-        coverage=cov_exact(bounds, X),
-        precision=pre,
-        query_label=int(query_label),
-        feasible=pre is not None and pre >= cfg.precision_threshold,
-        query_encoded=q,
-        query_raw=query_raw,
-        elimination_order=order,
-        trace=trace,
-    )
+    return _explanation(l, u, space, X, labels, query_label, cfg.precision_threshold, q,
+                        query_raw, order, trace)
 
 
 def explain(
@@ -241,7 +247,3 @@ def explain(
     return explain_encoded(q, space, labels, query_label, cfg, k, max_attrs,
                            query_raw=list(query))
 
-
-def explanation_contains(expl: Explanation, x: np.ndarray) -> bool:
-    """Whether an encoded point falls inside the explanation's box."""
-    return bool(inside_mask(expl.bounds, np.asarray(x)[None, :])[0])

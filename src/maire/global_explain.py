@@ -34,7 +34,7 @@ class GlobalExplanation:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 def _member_masks(candidates: list[Explanation], eval_points: np.ndarray) -> np.ndarray:
@@ -134,12 +134,10 @@ def global_predict(g: GlobalExplanation, x: np.ndarray) -> int | None:
 
     Ties break toward the smallest label value.
     """
-    point = np.asarray(x, dtype=np.float64)[None, :]
-    votes: dict[int, int] = {}
-    for member in g.members:
-        if inside_mask(member.bounds, point)[0]:
-            votes[member.query_label] = votes.get(member.query_label, 0) + 1
-    if not votes:
+    if not g.members:
         return None
-    best = max(sorted(votes), key=lambda label: (votes[label], -label))
-    return int(best)
+    masks = _member_masks(g.members, np.asarray(x, dtype=np.float64)[None, :])
+    if not masks.any():
+        return None
+    labels_of = [m.query_label for m in g.members]
+    return int(_majority_votes(masks, labels_of, range(len(g.members)), 1)[0])

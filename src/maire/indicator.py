@@ -15,18 +15,6 @@ import numpy as np
 from .errors import UndefinedPrecisionError
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # two-sided form, overflow-free for large |x|
-    ax = np.abs(x)
-    e = np.exp(-ax)
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _step(z: np.ndarray, c3: float) -> np.ndarray:
-    # contribution of c3 * (sgn(z) * 0.5 + 0.5); exactly half the step at z == 0
-    return np.where(z > 0.0, c3, np.where(z < 0.0, 0.0, 0.5 * c3))
-
-
 @dataclass(frozen=True)
 class ApproxConstants:
     """The seven constants shaping the soft indicator.
@@ -132,6 +120,19 @@ def inside_mask(b: BoxBounds, points: np.ndarray) -> np.ndarray:
     return ((X >= b.l) & (X <= b.u)).all(axis=1)
 
 
+def _gamma_slope(z: np.ndarray, k: ApproxConstants) -> tuple[np.ndarray, np.ndarray]:
+    """gamma(z) and d gamma / dz (step held constant), in the two-sided
+    exponential form: with e = exp(-c2 |z|) the sigmoid is 1/(1+e) for
+    z >= 0 and e/(1+e) below, and gamma's slope c1 c2 e/(1+e)^2 never overflows.
+    Unlike the tanh form, tail values keep their relative precision, which
+    matters where they are summed directly (the soft AND over rows).
+    """
+    e = np.exp(-k.c2 * np.abs(z))
+    r = 1.0 / (1.0 + e)
+    value = k.c1 * np.where(z >= 0.0, r, e * r) + k.c3 * (0.5 * np.sign(z) + 0.5)
+    return value, (k.c1 * k.c2) * (e * r * r)
+
+
 def gamma(z: float, k: ApproxConstants = ApproxConstants()) -> float:
     """Soft 0/1 indicator of ``z > 0``: c1*sigmoid(c2 z) + c3*(sgn(z)*c4 + c5).
 
@@ -140,18 +141,179 @@ def gamma(z: float, k: ApproxConstants = ApproxConstants()) -> float:
     """
     if z == 0.0:
         return 0.5
-    return float(gamma_array(np.asarray([z], dtype=np.float64), k)[0])
+    return float(_gamma_slope(np.asarray([z], dtype=np.float64), k)[0][0])
 
 
-def gamma_array(z: np.ndarray, k: ApproxConstants) -> np.ndarray:
-    """Vectorized ``gamma``."""
-    return k.c1 * _sigmoid(k.c2 * z) + _step(z, k.c3)
+# A column with at most LEVEL_LIMIT distinct values joins the level block,
+# where a pass costs two matrix products per level instead of about a dozen
+# elementwise operations per row; _HEAD rows are looked at first, which
+# settles most high-cardinality columns without sorting them.
+LEVEL_LIMIT = 16
+_HEAD = 4 * LEVEL_LIMIT
 
 
-def gamma_derivative(z: np.ndarray, k: ApproxConstants) -> np.ndarray:
-    """d gamma / dz with the step treated as locally constant."""
-    s = _sigmoid(k.c2 * np.asarray(z, dtype=np.float64))
-    return k.c1 * k.c2 * s * (1.0 - s)
+def _levels(col: np.ndarray) -> np.ndarray | None:
+    """Distinct values of ``col``, or None when it has more than LEVEL_LIMIT."""
+    levels = np.unique(col[:_HEAD])
+    if levels.size <= LEVEL_LIMIT:
+        # distinct levels: every row matches exactly one of them, or some
+        # value is missing from the head
+        if np.count_nonzero(col == levels[:, None]) == col.size:
+            return levels
+        levels = np.unique(col)
+    return levels if levels.size <= LEVEL_LIMIT else None
+
+
+@dataclass
+class BoxPass:
+    """One pass of ``BoxStats`` over a box.
+
+    ``grad_l`` and ``grad_u`` have two rows: the derivatives of ``h_sum``
+    and of ``match_sum`` with respect to each lower and upper bound.
+    """
+
+    h_sum: float       # sum of soft memberships, floored at 1e-300
+    match_sum: float   # soft memberships summed over label-matching rows
+    grad_l: np.ndarray
+    grad_u: np.ndarray
+    n_in: int          # rows inside the box, exactly
+    n_match: int       # of those, rows whose label matches
+
+
+class BoxStats:
+    """Soft membership, its gradient and the exact in-box counts of one
+    dataset, for any box. Build it once per dataset; each pass costs one
+    sweep over the data.
+
+    Columns are split by their number of distinct values. Columns with more
+    than ``LEVEL_LIMIT`` form the dense block and are evaluated elementwise.
+    The others (one-hot, ordered and other few-valued columns) form the
+    level block: a 0/1 levels-by-rows matrix ``L``, so each level is
+    evaluated once and reaches the rows through ``v @ L`` (row sums and
+    violation counts) and ``W @ L.T`` (gradient sums).
+
+    Per comparison gamma(z) = 1/2 + (c1 tanh(c2 z/2) + c3 sgn z)/2, so the
+    row sum of the 2D comparisons is D + (1/2) sum(c1 tanh + c3 sgn), and
+    the slope is (c1 c2/4)(1 - tanh^2). The gradient sums over rows are one
+    product of the (2 x N) weights [dh/dt, dh/dt * match] / 2D with tanh^2.
+
+    A pass writes into buffers of the instance: one instance serves one
+    thread.
+    """
+
+    def __init__(self, points: np.ndarray, match: np.ndarray | None = None,
+                 k: ApproxConstants = ApproxConstants()):
+        X = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        n, d = X.shape
+        if n == 0:
+            raise ValueError("points must be nonempty")
+        self.k, self.n, self.d = k, n, d
+        self.match = np.ones(n) if match is None else np.asarray(match, dtype=np.float64)
+        self._matched = self.match > 0.5
+
+        columns = np.ascontiguousarray(X.T)
+        found = [_levels(col) for col in columns]
+        self.dense = np.asarray([j for j, v in enumerate(found) if v is None], dtype=np.intp)
+        self.level_cols = np.asarray([j for j, v in enumerate(found) if v is not None],
+                                     dtype=np.intp)
+        levels = [found[j] for j in self.level_cols]
+        counts = [v.size for v in levels]
+        self.level_val = np.concatenate(levels) if levels else np.zeros(0)
+        self.level_col = np.repeat(self.level_cols, counts)
+        self.level_start = np.cumsum([0] + counts[:-1], dtype=np.intp)
+        # both blocks are stored column-major (one contiguous row per column
+        # or level), so per-row reductions and the products stream memory
+        self.Xd = columns[self.dense]
+        self.L = (columns[self.level_col] == self.level_val[:, None]).astype(np.float64)
+
+        w = self.dense.size
+        self._T = np.empty((4 * w, n))  # tanh of the 2w comparisons, then their sgn
+        self._coef = np.repeat([0.5 * k.c1, 0.5 * k.c3], 2 * w)
+        self._W = np.empty((2, n))
+
+    def _forward(self, l: np.ndarray, u: np.ndarray):
+        """Soft-AND argument t and the exact in-box mask per row, plus the
+        comparisons' tanh values for the gradient: the dense block's stay in
+        the buffer, the level block's (2 x levels) are returned."""
+        k = self.k
+        w = self.dense.size
+        rows = 0.0
+        inside = True
+        tz = None
+        if w:
+            T = self._T
+            Z = T[:2 * w]
+            np.subtract(self.Xd, l[self.dense, None], out=Z[:w])
+            np.subtract(u[self.dense, None], self.Xd, out=Z[w:])
+            inside = Z.min(axis=0) >= 0.0
+            Z[w:] += k.cl
+            np.sign(Z, out=T[2 * w:])
+            Z *= 0.5 * k.c2
+            np.tanh(Z, out=Z)
+            rows = self._coef @ T
+        if self.level_val.size:
+            c = self.level_col
+            z = np.stack((self.level_val - l[c], u[c] - self.level_val))
+            G = np.empty((2, self.level_val.size))
+            G[1] = (z < 0.0).any(axis=0)
+            z[1] += k.cl
+            tz = np.tanh((0.5 * k.c2) * z)
+            G[0] = (0.5 * k.c1) * tz.sum(axis=0) + (0.5 * k.c3) * np.sign(z).sum(axis=0)
+            R = G @ self.L
+            rows = rows + R[0]
+            inside = inside & (R[1] == 0.0)
+        t = (self.d + rows) / (2.0 * self.d) - k.ch
+        return t, inside, tz
+
+    def membership(self, l: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Soft membership h of every row."""
+        return _gamma_slope(self._forward(l, u)[0], self.k)[0]
+
+    def evaluate(self, l: np.ndarray, u: np.ndarray) -> BoxPass:
+        """Soft sums, their gradients and the exact counts in one pass."""
+        k = self.k
+        t, inside, tz = self._forward(l, u)
+        h, slope = _gamma_slope(t, k)
+        W = self._W
+        np.multiply(slope, 1.0 / (2.0 * self.d), out=W[0])
+        np.multiply(W[0], self.match, out=W[1])
+        c = 0.25 * k.c1 * k.c2
+        grad_l = np.empty((2, self.d))
+        grad_u = np.empty((2, self.d))
+        w = self.dense.size
+        if w:
+            T2 = self._T[:2 * w]
+            np.square(T2, out=T2)
+            g = c * (W.sum(axis=1)[:, None] - W @ T2.T)
+            grad_l[:, self.dense] = -g[:, :w]
+            grad_u[:, self.dense] = g[:, w:]
+        if self.level_val.size:
+            per_level = W @ self.L.T
+            starts = self.level_start
+            grad_l[:, self.level_cols] = -c * np.add.reduceat(per_level * (1.0 - tz[0] * tz[0]),
+                                                              starts, axis=1)
+            grad_u[:, self.level_cols] = c * np.add.reduceat(per_level * (1.0 - tz[1] * tz[1]),
+                                                             starts, axis=1)
+        return BoxPass(
+            h_sum=max(float(h.sum()), 1e-300),  # h > 0 except at underflow-extreme c2
+            match_sum=float(h @ self.match),
+            grad_l=grad_l,
+            grad_u=grad_u,
+            n_in=int(np.count_nonzero(inside)),
+            n_match=int(np.count_nonzero(inside & self._matched)),
+        )
+
+    def exact(self, l: np.ndarray, u: np.ndarray) -> tuple[int, int]:
+        """Rows inside the box and, of those, label-matching rows."""
+        inside = np.ones(self.n, dtype=bool)
+        if self.dense.size:
+            Xd = self.Xd
+            inside &= ((Xd >= l[self.dense, None]) & (Xd <= u[self.dense, None])).all(axis=0)
+        if self.level_val.size:
+            c = self.level_col
+            outside = (self.level_val < l[c]) | (self.level_val > u[c])
+            inside &= outside @ self.L == 0.0
+        return int(np.count_nonzero(inside)), int(np.count_nonzero(inside & self._matched))
 
 
 def membership_values(b: BoxBounds, points: np.ndarray, k: ApproxConstants) -> np.ndarray:
@@ -161,12 +323,7 @@ def membership_values(b: BoxBounds, points: np.ndarray, k: ApproxConstants) -> n
     gamma(u_j - x_j + cl) (soft u >= x); the 2D values are combined by a
     soft AND, gamma(mean - ch).
     """
-    X = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    d = X.shape[1]
-    a_low = gamma_array(X - b.l, k)
-    a_high = gamma_array((b.u - X) + k.cl, k)
-    t = (a_low.sum(axis=1) + a_high.sum(axis=1)) / (2.0 * d) - k.ch
-    return gamma_array(t, k)
+    return BoxStats(points, k=k).membership(b.l, b.u)
 
 
 def membership_h(b: BoxBounds, x: np.ndarray, k: ApproxConstants = ApproxConstants()) -> float:

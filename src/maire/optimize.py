@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indicator import ApproxConstants, BoxBounds, _sigmoid, _step
+from .indicator import ApproxConstants, BoxBounds, BoxStats
 
 log = logging.getLogger(__name__)
 
@@ -31,7 +31,6 @@ class OptimizerConfig:
     adam_eps: float = 1e-8
     convergence_tol: float = 1e-6
     convergence_window: int = 50
-    seed: int = 0
     containment_snap: bool = True
 
     def __post_init__(self):
@@ -41,6 +40,17 @@ class OptimizerConfig:
             raise ValueError("precision_threshold must lie in (0, 1]")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.lambda1 < 0.0 or self.lambda2 < 0.0:
+            raise ValueError("lambda1 and lambda2 must be >= 0")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if self.adam_eps <= 0.0:
+            raise ValueError("adam_eps must be positive")
+        if self.convergence_tol < 0.0:
+            raise ValueError("convergence_tol must be >= 0")
+        if self.convergence_window < 1:
+            raise ValueError("convergence_window must be >= 1")
 
 
 @dataclass
@@ -81,7 +91,7 @@ class OptimizationTrace:
             d = rec.to_dict()
             if i == last:
                 d["status"] = "converged" if self.converged else "iteration_capped"
-            yield json.dumps(d)
+            yield json.dumps(d, allow_nan=False)
 
     def write_jsonl(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -121,39 +131,23 @@ class _Evaluation:
 
 
 def _evaluate(
+    stats: BoxStats,
     l: np.ndarray,
     u: np.ndarray,
     query: np.ndarray,
-    X: np.ndarray,
-    match: np.ndarray,
     cfg: OptimizerConfig,
-    k: ApproxConstants,
 ) -> _Evaluation:
-    """Objective value and its analytic gradient in one pass.
+    """Objective value and its analytic gradient from one kernel pass.
 
     Step terms (the sgn inside gamma and the precision gate) are treated as
     locally constant, so the gradient is exact everywhere off their jumps.
     """
-    n, d = X.shape
-    zl = X - l
-    zu = (u - X) + k.cl
-    sl = _sigmoid(k.c2 * zl)
-    su = _sigmoid(k.c2 * zu)
-    al = k.c1 * sl + _step(zl, k.c3)
-    au = k.c1 * su + _step(zu, k.c3)
-    t = (al.sum(axis=1) + au.sum(axis=1)) / (2.0 * d) - k.ch
-    st = _sigmoid(k.c2 * t)
-    h = k.c1 * st + _step(t, k.c3)
-
-    s_h = max(float(h.sum()), 1e-300)  # h > 0 except at underflow-extreme c2
-    s_m = float((h * match).sum())
-    cov_hat = s_h / n
-    pre_hat = s_m / s_h
-
-    inside = ((X >= l) & (X <= u)).all(axis=1)
-    n_in = int(inside.sum())
-    cov = n_in / n
-    pre = float((inside & (match > 0.5)).sum() / n_in) if n_in else None
+    p = stats.evaluate(l, u)
+    n = stats.n
+    cov_hat = p.h_sum / n
+    pre_hat = p.match_sum / p.h_sum
+    cov = p.n_in / n
+    pre = p.n_match / p.n_in if p.n_in else None
 
     if pre is None:
         gate = 2.0  # empty box: force the precision term on, same as pre < P
@@ -166,23 +160,13 @@ def _evaluate(
 
     objective = cov_hat + cfg.lambda1 * pre_hat * gate - cfg.lambda2 * violation
 
-    # dh/d(mean term) per point, then chain through each axis comparison
-    dh_dt = k.c1 * k.c2 * st * (1.0 - st)
-    scale = dh_dt[:, None] / (2.0 * d)
-    dh_dl = scale * (-(k.c1 * k.c2) * sl * (1.0 - sl))
-    dh_du = scale * ((k.c1 * k.c2) * su * (1.0 - su))
-
-    dcov_dl = dh_dl.sum(axis=0) / n
-    dcov_du = dh_du.sum(axis=0) / n
-    dsh_dl = dh_dl.sum(axis=0)
-    dsh_du = dh_du.sum(axis=0)
-    dsm_dl = (dh_dl * match[:, None]).sum(axis=0)
-    dsm_du = (dh_du * match[:, None]).sum(axis=0)
-    dpre_dl = (s_h * dsm_dl - s_m * dsh_dl) / (s_h * s_h)
-    dpre_du = (s_h * dsm_du - s_m * dsh_du) / (s_h * s_h)
-
-    grad_l = dcov_dl + cfg.lambda1 * gate * dpre_dl - cfg.lambda2 * (l > query)
-    grad_u = dcov_du + cfg.lambda1 * gate * dpre_du + cfg.lambda2 * (query > u)
+    # pre_hat = match_sum / h_sum, differentiated by the quotient rule
+    inv = 1.0 / (p.h_sum * p.h_sum)
+    dpre_dl = (p.h_sum * p.grad_l[1] - p.match_sum * p.grad_l[0]) * inv
+    dpre_du = (p.h_sum * p.grad_u[1] - p.match_sum * p.grad_u[0]) * inv
+    weight = cfg.lambda1 * gate
+    grad_l = p.grad_l[0] / n + weight * dpre_dl - cfg.lambda2 * (l > query)
+    grad_u = p.grad_u[0] / n + weight * dpre_du + cfg.lambda2 * (query > u)
 
     return _Evaluation(objective, grad_l, grad_u, cov_hat, pre_hat, cov, pre, violation)
 
@@ -205,7 +189,7 @@ def objective(
 ) -> float:
     """Penalized ascent objective at one set of bounds."""
     q, X, match = _prep(query, data, labels, query_label)
-    return _evaluate(b.l, b.u, q, X, match, cfg, k).objective
+    return _evaluate(BoxStats(X, match, k), b.l, b.u, q, cfg).objective
 
 
 def gradient(
@@ -219,7 +203,7 @@ def gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of the objective w.r.t. (l, u)."""
     q, X, match = _prep(query, data, labels, query_label)
-    ev = _evaluate(b.l, b.u, q, X, match, cfg, k)
+    ev = _evaluate(BoxStats(X, match, k), b.l, b.u, q, cfg)
     return ev.grad_l, ev.grad_u
 
 
@@ -250,6 +234,7 @@ def optimize(
     is flagged on the trace, not raised.
     """
     q, X, match = _prep(query, data, labels, query_label)
+    stats = BoxStats(X, match, k)
     l = initial.l.copy()
     u = initial.u.copy()
     d = l.shape[0]
@@ -259,28 +244,27 @@ def optimize(
     best_key = None
     best_lu = None
 
-    def consider(l_now, u_now, iteration):
+    def consider(l_now, u_now, ev, iteration):
         nonlocal best_key, best_lu
-        if cfg.containment_snap:
-            cl_, cu_ = _snap_to_query(l_now, u_now, q)
-        else:
-            cl_, cu_ = l_now, u_now
-        mask = ((X >= cl_) & (X <= cu_)).all(axis=1)
-        n_in = int(mask.sum())
-        cov = n_in / len(X)
-        pre = float((mask & (match > 0.5)).sum() / n_in) if n_in else None
+        cov, pre = ev.cov, ev.pre
+        if cfg.containment_snap and ev.violation > 0.0:
+            # the snap moves a bound only where the query lies outside
+            l_now, u_now = _snap_to_query(l_now, u_now, q)
+            n_in, n_match = stats.exact(l_now, u_now)
+            cov = n_in / stats.n
+            pre = n_match / n_in if n_in else None
         feasible = pre is not None and pre >= cfg.precision_threshold
         key = (1 if feasible else 0, cov)
         if best_key is None or key > best_key:
             best_key = key
-            best_lu = (cl_.copy(), cu_.copy())
+            best_lu = (l_now.copy(), u_now.copy())
             trace.best_iteration = iteration
             trace.feasible = feasible
 
-    ev = _evaluate(l, u, q, X, match, cfg, k)
+    ev = _evaluate(stats, l, u, q, cfg)
     if ev.pre is None:
         log.debug("initial box empty: precision gate forced active")
-    consider(l, u, 0)
+    consider(l, u, ev, 0)
 
     objectives = []
     for it in range(1, cfg.max_iters + 1):
@@ -295,10 +279,10 @@ def optimize(
             mid = 0.5 * (l[crossed] + u[crossed])
             l[crossed] = mid
             u[crossed] = mid
-        ev = _evaluate(l, u, q, X, match, cfg, k)
+        ev = _evaluate(stats, l, u, q, cfg)
         trace.records.append(TraceRecord(it, ev.objective, ev.cov_hat, ev.pre_hat,
                                          ev.cov, ev.pre, ev.violation))
-        consider(l, u, it)
+        consider(l, u, ev, it)
         objectives.append(ev.objective)
         w = cfg.convergence_window
         if len(objectives) >= w:

@@ -142,7 +142,7 @@ def load_table(path: str, schema: list[AttributeSchema], label_column: str | Non
             cell = row[col_of[label_column]]
             try:
                 labels.append(int(float(cell)))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise LoadError(
                     f"table {path}: row {r} column {label_column!r}: unparseable label {cell!r}"
                 ) from exc
@@ -221,6 +221,8 @@ class EncodedSpace:
         for i, attr in enumerate(self.attributes):
             v = values[i]
             if attr.kind == "continuous":
+                if not np.isfinite(float(v)):
+                    raise SchemaError(f"attribute {attr.name!r}: non-finite query value {v!r}")
                 lo, hi = self.normalizers[i]
                 z = (float(v) - lo) / (hi - lo)
                 if z < 0.0 or z > 1.0:
@@ -256,14 +258,19 @@ def encode(table: RawTable, schema: list[AttributeSchema] | None = None) -> Enco
     for i, attr in enumerate(attrs):
         raw = table.columns[i]
         if attr.kind == "continuous":
+            values = np.asarray(raw, dtype=np.float64)
+            finite = np.isfinite(values)
+            if not finite.all():
+                r = int(np.argmin(finite))
+                raise SchemaError(f"row {r} column {attr.name!r}: non-finite value {values[r]}")
             if attr.value_range is not None:
                 lo, hi = attr.value_range
             else:
-                lo, hi = float(raw.min()), float(raw.max())
+                lo, hi = float(values.min()), float(values.max())
                 if lo >= hi:
                     raise SchemaError(f"attribute {attr.name!r}: constant column cannot be normalized")
             normalizers[i] = (lo, hi)
-            z = (raw.astype(np.float64) - lo) / (hi - lo)
+            z = (values - lo) / (hi - lo)
             out_of_range = int(((z < 0.0) | (z > 1.0)).sum())
             if out_of_range:
                 clamps += out_of_range

@@ -106,6 +106,48 @@ class TestExplainCommand:
         assert "exactly one" in capsys.readouterr().err
 
 
+class TestNonFiniteInput:
+    """A non-finite cell fails the run at its row and column; no output is written."""
+
+    @staticmethod
+    def table(tmp_path, bad_row, bad_cell, label="1"):
+        rows = ["a,b,y"] + [f"{i / 10:.1f},{1 - i / 10:.1f},{i % 2}" for i in range(8)]
+        a, b, _ = rows[1 + bad_row].split(",")
+        rows[1 + bad_row] = f"{a},{bad_cell},{label}"
+        data = tmp_path / "t.csv"
+        data.write_text("\n".join(rows) + "\n")
+        schema = tmp_path / "s.json"
+        schema.write_text(json.dumps({"attributes": [
+            {"name": "a", "kind": "continuous"}, {"name": "b", "kind": "continuous"}]}))
+        return str(data), str(schema)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_exits_1_naming_row_and_column(self, tmp_path, capsys, cell):
+        data, schema = self.table(tmp_path, 5, cell)
+        out = tmp_path / "o"
+        code = run("explain", "--data", data, "--schema", schema, "--label-column", "y",
+                   "--query-row", "0", "--iters", "20", "--out-dir", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "row 5" in err and "'b'" in err
+        assert not (out / "explanation.json").exists()
+
+    def test_infinite_label_exits_1(self, tmp_path, capsys):
+        data, schema = self.table(tmp_path, 2, "0.5", label="inf")
+        code = run("explain", "--data", data, "--schema", schema, "--label-column", "y",
+                   "--query-row", "0", "--iters", "20", "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert "row 2" in capsys.readouterr().err
+
+    def test_non_finite_query_exits_1(self, tmp_path, capsys):
+        data, schema = self.table(tmp_path, 2, "0.5")
+        code = run("explain", "--data", data, "--schema", schema, "--label-column", "y",
+                   "--query-json", "[0.5, NaN]", "--iters", "20",
+                   "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert "'b'" in capsys.readouterr().err
+
+
 def svg_elements(path):
     root = ET.fromstring(path.read_text())
     ns = "{http://www.w3.org/2000/svg}"

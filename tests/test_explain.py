@@ -14,7 +14,7 @@ from maire import (
     greedy_eliminate,
     render,
 )
-from maire.explain import Explanation, _eliminate, explain_encoded, explanation_contains
+from maire.explain import Explanation, _eliminate, explain_encoded
 from maire.indicator import inside_mask, pre_exact_or_none
 from maire.schema import RawTable, decode_bounds, encode, nontrivial_attributes
 from maire.synthetic import synthetic_dataset
@@ -125,7 +125,7 @@ class TestExplainPipeline:
         cfg = OptimizerConfig(precision_threshold=0.95, max_iters=1200)
         expl = explain_encoded(q, space, labels, 1, cfg)
         assert expl.feasible and expl.precision >= 0.95
-        assert explanation_contains(expl, q)
+        assert expl.bounds.contains(q)
         assert 1 <= len(expl.clauses) <= 2
         text, record = render(expl)
         assert "x0" in text or "x1" in text
@@ -146,7 +146,7 @@ class TestExplainPipeline:
             qlabel = 1
             cfg = OptimizerConfig(precision_threshold=0.9, max_iters=600)
             expl = explain_encoded(q, space, labels, qlabel, cfg, max_attrs=1)
-            assert explanation_contains(expl, q)
+            assert expl.bounds.contains(q)
 
     def test_metrics_recomputed_after_postprocessing(self):
         shape, space, labels = synthetic_dataset("rect", 1500, seed=5)

@@ -1,0 +1,205 @@
+"""The box-statistics kernel against a slow, direct reference.
+
+The reference is the elementwise evaluation the kernel replaced: a
+two-sided sigmoid, a nested-where step, and sums over the full N x D
+arrays. Tables mix continuous, ordered and one-hot columns so that both of
+the kernel's blocks (dense and level) are exercised, alone and together.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from maire import ApproxConstants, BoxBounds, OptimizerConfig, cov_hat, gradient, objective, pre_hat
+from maire.indicator import LEVEL_LIMIT, BoxStats, membership_values
+
+
+def ref_sigmoid(x):
+    ax = np.abs(x)
+    e = np.exp(-ax)
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def ref_step(z, c3):
+    return np.where(z > 0.0, c3, np.where(z < 0.0, 0.0, 0.5 * c3))
+
+
+def ref_gamma(z, k):
+    return k.c1 * ref_sigmoid(k.c2 * z) + ref_step(z, k.c3)
+
+
+def ref_membership(l, u, X, k):
+    d = X.shape[1]
+    t = (ref_gamma(X - l, k).sum(axis=1) + ref_gamma((u - X) + k.cl, k).sum(axis=1)) / (2.0 * d) - k.ch
+    return ref_gamma(t, k)
+
+
+def ref_evaluate(l, u, query, X, match, cfg, k):
+    """Objective, gradient and exact stats, evaluated directly."""
+    n, d = X.shape
+    zl = X - l
+    zu = (u - X) + k.cl
+    sl = ref_sigmoid(k.c2 * zl)
+    su = ref_sigmoid(k.c2 * zu)
+    al = k.c1 * sl + ref_step(zl, k.c3)
+    au = k.c1 * su + ref_step(zu, k.c3)
+    t = (al.sum(axis=1) + au.sum(axis=1)) / (2.0 * d) - k.ch
+    st_ = ref_sigmoid(k.c2 * t)
+    h = k.c1 * st_ + ref_step(t, k.c3)
+
+    s_h = max(float(h.sum()), 1e-300)
+    s_m = float((h * match).sum())
+    inside = ((X >= l) & (X <= u)).all(axis=1)
+    n_in = int(inside.sum())
+    n_match = int((inside & (match > 0.5)).sum())
+    pre = n_match / n_in if n_in else None
+    gate = 2.0 if pre is None else 1.0 + float(np.sign(cfg.precision_threshold - pre))
+    violation = float(np.maximum(l - query, 0.0).sum() + np.maximum(query - u, 0.0).sum())
+    obj = s_h / n + cfg.lambda1 * (s_m / s_h) * gate - cfg.lambda2 * violation
+
+    scale = (k.c1 * k.c2 * st_ * (1.0 - st_))[:, None] / (2.0 * d)
+    dh_dl = scale * (-(k.c1 * k.c2) * sl * (1.0 - sl))
+    dh_du = scale * ((k.c1 * k.c2) * su * (1.0 - su))
+    grads = []
+    for dh, pen in ((dh_dl, -cfg.lambda2 * (l > query)), (dh_du, cfg.lambda2 * (query > u))):
+        dsh = dh.sum(axis=0)
+        dsm = (dh * match[:, None]).sum(axis=0)
+        dpre = (s_h * dsm - s_m * dsh) / (s_h * s_h)
+        grads.append(dsh / n + cfg.lambda1 * gate * dpre + pen)
+    return obj, grads[0], grads[1], n_in, n_match
+
+
+@st.composite
+def tables(draw):
+    """A mixed encoded table: continuous, ordered and one-hot columns."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["continuous", "ordered", "onehot"]),
+                          min_size=1, max_size=6))
+    cols = []
+    for kind in kinds:
+        if len(cols) >= 12:
+            break
+        if kind == "continuous":
+            cols.append(rng.random(n))
+        elif kind == "ordered":
+            m = int(rng.integers(2, 7))
+            cols.append((rng.integers(0, m, n) + 1.0) / (m + 1))
+        elif len(cols) <= 10:
+            m = int(rng.integers(2, min(5, 12 - len(cols)) + 1))
+            cols.extend(np.eye(m)[rng.integers(0, m, n)].T)
+    X = np.column_stack(cols)
+    labels = rng.integers(0, 3, n)
+    return X, labels, rng
+
+
+def draw_box(mode, X, rng):
+    d = X.shape[1]
+    if mode == "random":
+        a, b = rng.random(d), rng.random(d)
+        return np.minimum(a, b), np.maximum(a, b)
+    if mode == "inverted":
+        a, b = rng.random(d), rng.random(d)
+        return np.maximum(a, b), np.minimum(a, b)
+    if mode == "empty":
+        v = rng.random(d)
+        return v, v.copy()
+    if mode == "full":
+        return np.zeros(d), np.ones(d)
+    # bounds exactly on data values: z = 0 on some comparisons
+    rows = rng.integers(0, len(X), 2)
+    a, b = X[rows[0]], X[rows[1]]
+    return np.minimum(a, b).copy(), np.maximum(a, b).copy()
+
+
+BOX_MODES = ["random", "inverted", "empty", "full", "on-data"]
+
+
+def close(got, want, rel=1e-9):
+    want = np.asarray(want, dtype=np.float64)
+    scale = float(np.abs(want).max(initial=0.0))
+    np.testing.assert_allclose(got, want, rtol=rel, atol=rel * scale + 1e-300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.sampled_from(BOX_MODES), st.sampled_from([0.05, 0.5, 0.9, 1.0]),
+       st.booleans(), st.booleans())
+def test_objective_gradient_and_counts_match_reference(table, mode, threshold, scaled, query_row):
+    X, labels, rng = table
+    d = X.shape[1]
+    k = ApproxConstants.for_dimension(d) if scaled else ApproxConstants()
+    l, u = draw_box(mode, X, rng)
+    q = X[int(rng.integers(len(X)))] if query_row else rng.random(d)
+    cfg = OptimizerConfig(precision_threshold=threshold)
+    match = (labels == 1).astype(np.float64)
+    obj, gl, gu, n_in, n_match = ref_evaluate(l, u, q, X, match, cfg, k)
+
+    b = BoxBounds(l, u)
+    close(objective(b, q, X, labels, 1, cfg, k), obj)
+    got_l, got_u = gradient(b, q, X, labels, 1, cfg, k)
+    close(np.concatenate([got_l, got_u]), np.concatenate([gl, gu]))
+
+    stats = BoxStats(X, match, k)
+    p = stats.evaluate(l, u)
+    assert (p.n_in, p.n_match) == (n_in, n_match)
+    assert stats.exact(l, u) == (n_in, n_match)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.sampled_from(BOX_MODES), st.booleans())
+def test_soft_measures_match_reference(table, mode, scaled):
+    X, labels, rng = table
+    k = ApproxConstants.for_dimension(X.shape[1]) if scaled else ApproxConstants()
+    l, u = draw_box(mode, X, rng)
+    b = BoxBounds(l, u)
+    h = ref_membership(l, u, X, k)
+    close(membership_values(b, X, k), h)
+    close(cov_hat(b, X, k), h.mean())
+    match = labels == 1
+    close(pre_hat(b, X, labels, 1, k), (h * match).sum() / max(h.sum(), 1e-300))
+
+
+class TestBlocks:
+    def test_split_follows_distinct_value_counts(self):
+        rng = np.random.default_rng(0)
+        n = 200
+        X = np.column_stack([
+            rng.random(n),                                   # continuous
+            (rng.integers(0, 5, n) + 1.0) / 6,               # ordered, 5 levels
+            rng.integers(0, 2, n).astype(float),             # one-hot column
+            rng.integers(0, LEVEL_LIMIT, n) / LEVEL_LIMIT,   # exactly LEVEL_LIMIT values
+            rng.integers(0, LEVEL_LIMIT + 1, n) / 20.0,      # one value too many
+        ])
+        stats = BoxStats(X)
+        assert stats.dense.tolist() == [0, 4]
+        assert stats.level_cols.tolist() == [1, 2, 3]
+        assert stats.L.shape == (5 + 2 + LEVEL_LIMIT, n)
+        # every row sits on exactly one level of each level column
+        np.testing.assert_array_equal(stats.L.sum(axis=0), 3.0)
+
+    def test_values_missing_from_the_head_rows_are_found(self):
+        col = np.zeros(500)
+        col[-1] = 1.0  # the second level appears only in the last row
+        stats = BoxStats(col[:, None])
+        assert stats.level_val.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: rng.random((100, 4)),                                   # dense only
+        lambda rng: rng.integers(0, 3, (100, 4)) / 2.0,                     # levels only
+    ])
+    def test_single_block_tables(self, make):
+        rng = np.random.default_rng(1)
+        X = make(rng)
+        labels = rng.integers(0, 2, len(X))
+        q = X[0]
+        l, u = np.clip(q - 0.3, 0, 1), np.clip(q + 0.3, 0, 1)
+        cfg = OptimizerConfig(precision_threshold=0.9)
+        obj, gl, gu, _, _ = ref_evaluate(l, u, q, X, (labels == 1).astype(float), cfg,
+                                         ApproxConstants())
+        b = BoxBounds(l, u)
+        close(objective(b, q, X, labels, 1, cfg), obj)
+        close(np.concatenate(gradient(b, q, X, labels, 1, cfg)), np.concatenate([gl, gu]))
+
+    def test_empty_points_rejected(self):
+        with pytest.raises(ValueError):
+            BoxStats(np.zeros((0, 3)))

@@ -246,3 +246,22 @@ class TestConfig:
     def test_invalid_config_rejected(self, bad):
         with pytest.raises(ValueError):
             OptimizerConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        dict(lambda1=-3.0),
+        dict(lambda2=-0.1),
+        dict(adam_beta1=2.0),
+        dict(adam_beta1=-0.1),
+        dict(adam_beta2=1.0),
+        dict(adam_eps=0.0),
+        dict(adam_eps=-1.0),
+        dict(convergence_tol=-1e-9),
+        dict(convergence_window=0),
+    ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_invalid_ascent_settings_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            OptimizerConfig(**bad)
+
+    def test_boundary_settings_accepted(self):
+        OptimizerConfig(lambda1=0.0, lambda2=0.0, adam_beta1=0.0, adam_beta2=0.0,
+                        convergence_tol=0.0, convergence_window=1)

@@ -139,6 +139,20 @@ class TestEncode:
         with pytest.raises(SchemaError, match="constant"):
             encode(table)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_continuous_value_rejected(self, bad):
+        schema = [AttributeSchema(name="a", kind="continuous")]
+        table = RawTable(schema, [np.array([0.1, 0.5, bad, 0.9, bad])])
+        with pytest.raises(SchemaError, match=r"row 2 column 'a'"):
+            encode(table)
+
+    def test_non_finite_query_value_rejected(self, people_schema):
+        table = RawTable(people_schema, [np.array([17.0, 30.0]),
+                                         np.asarray(["M", "F"], dtype=object)])
+        space = encode(table)
+        with pytest.raises(SchemaError, match="Age"):
+            space.encode_instance([float("inf"), "F"])
+
     def test_out_of_range_clamps_and_counts(self, people_schema):
         preset = [
             AttributeSchema(name="Age", kind="continuous", value_range=(20.0, 40.0)),
