@@ -24,7 +24,7 @@ from .errors import (
     SchemaError,
     UndefinedPrecisionError,
 )
-from .explain import Explanation, explain, explain_encoded, greedy_eliminate, render
+from .explain import Explanation, explain, explain_encoded, explain_many, greedy_eliminate, render
 from .global_explain import GlobalExplanation, global_predict, msd_select, rp_select
 from .indicator import (
     ApproxConstants,
@@ -85,6 +85,7 @@ __all__ = [
     "encode",
     "explain",
     "explain_encoded",
+    "explain_many",
     "gamma",
     "global_predict",
     "gradient",

@@ -64,6 +64,14 @@ class StoredColumnProvider(PredictionProvider):
         self._index = {}
         for i, row in enumerate(X):
             self._index.setdefault(row.tobytes(), i)
+        if len(self._index) < len(X):
+            # repeated rows must agree with the label of their first occurrence
+            for i, row in enumerate(X):
+                first = self._index[row.tobytes()]
+                if labels[first] != labels[i]:
+                    raise ProviderError(
+                        f"rows {first} and {i} encode to the same point but carry labels "
+                        f"{labels[first]} and {labels[i]}", point_index=i)
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(points, dtype=np.float64)
@@ -229,7 +237,7 @@ class ExternalCommandProvider(PredictionProvider):
                     f"predictor command replied with {len(reply) if isinstance(reply, list) else 'non-list'}"
                     f" labels for {len(batch)} points", point_index=start)
             for i, label in enumerate(reply):
-                if not isinstance(label, int):
+                if not isinstance(label, int) or isinstance(label, bool):
                     raise ProviderError(
                         f"predictor command sent a non-integer label {label!r}",
                         point_index=start + i)

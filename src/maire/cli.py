@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .blackbox import (
     predict_batch,
 )
 from .errors import MaireError
-from .explain import Explanation, explain_encoded
+from .explain import Explanation, explain_encoded, explain_many
 from .global_explain import msd_select
 from .indicator import ApproxConstants, audit_bounds, cov_exact, cov_hat, pre_exact_or_none, pre_hat
 from .optimize import OptimizerConfig
@@ -59,7 +58,9 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iters", type=int, default=2500)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the synthetic data and of the query and anchor draws")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="ignored: the anchors of global and bounds-audit are stepped in lockstep "
+                        "in one thread")
     p.add_argument("--trace", action="store_true", help="write trace.jsonl per query")
     p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--no-containment-snap", action="store_true",
@@ -111,6 +112,9 @@ def _configure_logging() -> None:
 
 
 def _optimizer_config(args) -> OptimizerConfig:
+    if args.threads != 1:
+        log.warning("--threads %d ignored: anchors are stepped in lockstep in one thread",
+                    args.threads)
     return OptimizerConfig(
         precision_threshold=args.precision,
         learning_rate=args.lr,
@@ -208,10 +212,8 @@ def cmd_bounds_audit(args) -> int:
 
     cov_gaps, pre_gaps = [], []
     audit = None
-    for row in picks:
-        q = space.matrix[row]
-        query_label = int(labels[row])
-        expl = explain_encoded(q, space, labels, query_label, cfg, k=constants)
+    for expl in explain_many(space.matrix[picks], space, labels, labels[picks], cfg, k=constants):
+        query_label = expl.query_label
         cov = cov_exact(expl.bounds, space.matrix)
         ch_ = cov_hat(expl.bounds, space.matrix, constants)
         cov_gaps.append((cov - ch_) ** 2)
@@ -242,20 +244,8 @@ def cmd_global(args) -> int:
     rng = np.random.default_rng(args.seed)
     n = space.matrix.shape[0]
     anchors = [int(i) for i in rng.choice(n, size=min(args.anchors, n), replace=False)]
-
-    def one(row: int) -> Explanation:
-        return explain_encoded(space.matrix[row], space, labels, int(labels[row]), cfg,
-                               max_attrs=args.max_attrs)
-
-    threads = max(1, args.threads)
-    if threads > 1 and args.predictor_cmd:
-        log.warning("external predictor is single-threaded; ignoring --threads %d", threads)
-        threads = 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            candidates = list(pool.map(one, anchors))
-    else:
-        candidates = [one(row) for row in anchors]
+    candidates = explain_many(space.matrix[anchors], space, labels, labels[anchors], cfg,
+                              max_attrs=args.max_attrs)
 
     budget = args.budget if args.budget is not None else len(candidates)
     selection = msd_select(candidates, space.matrix, labels, budget)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blackbox import PredictionProvider, predict_batch
-from .indicator import ApproxConstants, BoxBounds, cov_exact, pre_exact_or_none
-from .optimize import OptimizerConfig, OptimizationTrace, initial_bounds, optimize
+from .indicator import ApproxConstants, BoxBounds, BoxStats, cov_exact, pre_exact_or_none
+from .optimize import OptimizerConfig, OptimizationTrace, initial_bounds, optimize, optimize_many
 from .schema import (
     AttributeSchema,
     EncodedSpace,
@@ -205,6 +205,33 @@ def greedy_eliminate(
                         expl.trace)
 
 
+def _attr_cap(max_attrs: int | None, space: EncodedSpace) -> int:
+    cap = max_attrs if max_attrs is not None else len(space.attributes)
+    if cap < 1:
+        raise ValueError("max_attrs must be >= 1")
+    return cap
+
+
+def _finish(
+    box: BoxBounds,
+    trace: OptimizationTrace,
+    q: np.ndarray,
+    space: EncodedSpace,
+    labels: np.ndarray,
+    query_label: int,
+    threshold: float,
+    cap: int,
+    query_raw: list | None,
+) -> Explanation:
+    """Snap, eliminate and decode an optimized box."""
+    X = space.matrix
+    box = snap_discrete(box, space)
+    match = np.asarray(labels) == query_label
+    l, u, order, _ = _eliminate(box.l, box.u, space, X, match, threshold, cap)
+    return _explanation(l, u, space, X, labels, query_label, threshold, q, query_raw, order,
+                        trace)
+
+
 def explain_encoded(
     query_encoded: np.ndarray,
     space: EncodedSpace,
@@ -216,18 +243,32 @@ def explain_encoded(
     query_raw: list | None = None,
 ) -> Explanation:
     """Explanation pipeline over an already-encoded dataset."""
-    X = space.matrix
+    cap = _attr_cap(max_attrs, space)
     q = np.asarray(query_encoded, dtype=np.float64)
-    box, trace = optimize(initial_bounds(q), q, X, labels, query_label, cfg, k)
-    box = snap_discrete(box, space)
-    cap = max_attrs if max_attrs is not None else len(space.attributes)
-    if cap < 1:
-        raise ValueError("max_attrs must be >= 1")
-    match = np.asarray(labels) == query_label
-    l, u, order, _ = _eliminate(box.l, box.u, space, X, match,
-                                cfg.precision_threshold, cap)
-    return _explanation(l, u, space, X, labels, query_label, cfg.precision_threshold, q,
-                        query_raw, order, trace)
+    box, trace = optimize(initial_bounds(q), q, space.matrix, labels, query_label, cfg, k)
+    return _finish(box, trace, q, space, labels, query_label, cfg.precision_threshold, cap,
+                   query_raw)
+
+
+def explain_many(
+    queries_encoded: np.ndarray,
+    space: EncodedSpace,
+    labels: np.ndarray,
+    query_labels: list[int],
+    cfg: OptimizerConfig,
+    k: ApproxConstants = ApproxConstants(),
+    max_attrs: int | None = None,
+) -> list[Explanation]:
+    """``explain_encoded`` for each row of ``queries_encoded``, with the
+    optimizations stepped in lockstep over one kernel; each explanation
+    equals the one ``explain_encoded`` gives for its query alone."""
+    cap = _attr_cap(max_attrs, space)
+    Q = np.asarray(queries_encoded, dtype=np.float64)
+    query_labels = [int(v) for v in query_labels]
+    runs = optimize_many([initial_bounds(q) for q in Q], Q, BoxStats(space.matrix, k), labels,
+                         query_labels, cfg)
+    return [_finish(box, trace, q, space, labels, label, cfg.precision_threshold, cap, None)
+            for (box, trace), q, label in zip(runs, Q, query_labels)]
 
 
 def explain(

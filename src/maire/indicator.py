@@ -166,30 +166,29 @@ def _levels(col: np.ndarray) -> np.ndarray | None:
 
 @dataclass
 class BoxPass:
-    """One pass of ``BoxStats`` over a box.
+    """One pass of ``BoxStats`` over A boxes, one entry per box.
 
-    ``grad_l`` and ``grad_u`` have two rows: the derivatives of ``h_sum``
-    and of ``match_sum`` with respect to each lower and upper bound.
+    ``grad`` has shape (A, 2, 2D): per box, the derivatives of ``h_sum`` and
+    of ``match_sum`` with respect to the D lower bounds, then the D upper ones.
     """
 
-    h_sum: float       # sum of soft memberships, floored at 1e-300
-    match_sum: float   # soft memberships summed over label-matching rows
-    grad_l: np.ndarray
-    grad_u: np.ndarray
-    n_in: int          # rows inside the box, exactly
-    n_match: int       # of those, rows whose label matches
+    h_sum: np.ndarray      # (A,) sums of soft memberships, floored at 1e-300
+    match_sum: np.ndarray  # (A,) soft memberships summed over label-matching rows
+    grad: np.ndarray
+    n_in: np.ndarray       # (A,) rows inside the box, exactly
+    n_match: np.ndarray    # (A,) of those, rows whose label matches
 
 
 class BoxStats:
     """Soft membership, its gradient and the exact in-box counts of one
-    dataset, for any box. Build it once per dataset; each pass costs one
-    sweep over the data.
+    dataset, for A boxes at once. Build it once per dataset; each pass costs
+    one sweep over the data per box.
 
     Columns are split by their number of distinct values. Columns with more
     than ``LEVEL_LIMIT`` form the dense block and are evaluated elementwise.
     The others (one-hot, ordered and other few-valued columns) form the
     level block: a 0/1 levels-by-rows matrix ``L``, so each level is
-    evaluated once and reaches the rows through ``v @ L`` (row sums and
+    evaluated once and reaches the rows through ``G @ L`` (row sums and
     violation counts) and ``W @ L.T`` (gradient sums).
 
     Per comparison gamma(z) = 1/2 + (c1 tanh(c2 z/2) + c3 sgn z)/2, so the
@@ -197,19 +196,18 @@ class BoxStats:
     the slope is (c1 c2/4)(1 - tanh^2). The gradient sums over rows are one
     product of the (2 x N) weights [dh/dt, dh/dt * match] / 2D with tanh^2.
 
-    A pass writes into buffers of the instance: one instance serves one
-    thread.
+    A pass takes (A, D) bounds and, where labels matter, one 0/1 match row
+    per box, (A, N). Its products are stacked per box, so each box's results
+    are bit for bit those of a pass over that box alone. A pass writes into
+    buffers of the instance: one instance serves one thread.
     """
 
-    def __init__(self, points: np.ndarray, match: np.ndarray | None = None,
-                 k: ApproxConstants = ApproxConstants()):
+    def __init__(self, points: np.ndarray, k: ApproxConstants = ApproxConstants()):
         X = np.atleast_2d(np.asarray(points, dtype=np.float64))
         n, d = X.shape
         if n == 0:
             raise ValueError("points must be nonempty")
         self.k, self.n, self.d = k, n, d
-        self.match = np.ones(n) if match is None else np.asarray(match, dtype=np.float64)
-        self._matched = self.match > 0.5
 
         columns = np.ascontiguousarray(X.T)
         found = [_levels(col) for col in columns]
@@ -227,93 +225,103 @@ class BoxStats:
         self.L = (columns[self.level_col] == self.level_val[:, None]).astype(np.float64)
 
         w = self.dense.size
-        self._T = np.empty((4 * w, n))  # tanh of the 2w comparisons, then their sgn
+        self._T = np.empty((0, 4 * w, n))  # per box: tanh of the 2w comparisons, then their sgn
         self._coef = np.repeat([0.5 * k.c1, 0.5 * k.c3], 2 * w)
-        self._W = np.empty((2, n))
+        # gradient columns of each block in the (l, u) layout, and the signed
+        # slope factor d gamma/dz times dz/dbound of each
+        c = 0.25 * k.c1 * k.c2
+        self._dense_lu = np.concatenate([self.dense, d + self.dense])
+        self._dense_scale = np.repeat([-c, c], w)
+        self._level_lu = np.concatenate([self.level_cols, d + self.level_cols])
+        self._level_scale = np.repeat([-c, c], self.level_cols.size)
+        self._level_starts = np.concatenate([self.level_start,
+                                             self.level_val.size + self.level_start])
 
     def _forward(self, l: np.ndarray, u: np.ndarray):
-        """Soft-AND argument t and the exact in-box mask per row, plus the
+        """Soft-AND argument t and the exact in-box mask, (A, N), plus the
         comparisons' tanh values for the gradient: the dense block's stay in
-        the buffer, the level block's (2 x levels) are returned."""
+        the buffer, the level block's (A x 2 x levels) are returned."""
         k = self.k
+        a = l.shape[0]
         w = self.dense.size
         rows = 0.0
         inside = True
         tz = None
         if w:
-            T = self._T
-            Z = T[:2 * w]
-            np.subtract(self.Xd, l[self.dense, None], out=Z[:w])
-            np.subtract(u[self.dense, None], self.Xd, out=Z[w:])
-            inside = Z.min(axis=0) >= 0.0
-            Z[w:] += k.cl
-            np.sign(Z, out=T[2 * w:])
+            if self._T.shape[0] < a:
+                self._T = np.empty((a, 4 * w, self.n))
+            T = self._T[:a]
+            Z = T[:, :2 * w]
+            np.subtract(self.Xd, l[:, self.dense, None], out=Z[:, :w])
+            np.subtract(u[:, self.dense, None], self.Xd, out=Z[:, w:])
+            inside = Z.min(axis=1) >= 0.0
+            Z[:, w:] += k.cl
+            np.sign(Z, out=T[:, 2 * w:])
             Z *= 0.5 * k.c2
             np.tanh(Z, out=Z)
             rows = self._coef @ T
         if self.level_val.size:
             c = self.level_col
-            z = np.stack((self.level_val - l[c], u[c] - self.level_val))
-            G = np.empty((2, self.level_val.size))
-            G[1] = (z < 0.0).any(axis=0)
-            z[1] += k.cl
+            z = np.empty((a, 2, self.level_val.size))
+            np.subtract(self.level_val, l[:, c], out=z[:, 0])
+            np.subtract(u[:, c], self.level_val, out=z[:, 1])
+            G = np.empty_like(z)
+            G[:, 1] = (z < 0.0).any(axis=1)
+            z[:, 1] += k.cl
             tz = np.tanh((0.5 * k.c2) * z)
-            G[0] = (0.5 * k.c1) * tz.sum(axis=0) + (0.5 * k.c3) * np.sign(z).sum(axis=0)
+            G[:, 0] = (0.5 * k.c1) * tz.sum(axis=1) + (0.5 * k.c3) * np.sign(z).sum(axis=1)
             R = G @ self.L
-            rows = rows + R[0]
-            inside = inside & (R[1] == 0.0)
+            rows = rows + R[:, 0]
+            inside = inside & (R[:, 1] == 0.0)
         t = (self.d + rows) / (2.0 * self.d) - k.ch
         return t, inside, tz
 
     def membership(self, l: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Soft membership h of every row."""
+        """Soft membership h of every row in each box, (A, N)."""
         return _gamma_slope(self._forward(l, u)[0], self.k)[0]
 
-    def evaluate(self, l: np.ndarray, u: np.ndarray) -> BoxPass:
+    def evaluate(self, l: np.ndarray, u: np.ndarray, match: np.ndarray) -> BoxPass:
         """Soft sums, their gradients and the exact counts in one pass."""
         k = self.k
         t, inside, tz = self._forward(l, u)
         h, slope = _gamma_slope(t, k)
-        W = self._W
-        np.multiply(slope, 1.0 / (2.0 * self.d), out=W[0])
-        np.multiply(W[0], self.match, out=W[1])
-        c = 0.25 * k.c1 * k.c2
-        grad_l = np.empty((2, self.d))
-        grad_u = np.empty((2, self.d))
+        a = l.shape[0]
+        W = np.empty((a, 2, self.n))
+        np.multiply(slope, 1.0 / (2.0 * self.d), out=W[:, 0])
+        np.multiply(W[:, 0], match, out=W[:, 1])
+        grad = np.empty((a, 2, 2 * self.d))
         w = self.dense.size
         if w:
-            T2 = self._T[:2 * w]
+            T2 = self._T[:a, :2 * w]
             np.square(T2, out=T2)
-            g = c * (W.sum(axis=1)[:, None] - W @ T2.T)
-            grad_l[:, self.dense] = -g[:, :w]
-            grad_u[:, self.dense] = g[:, w:]
+            grad[:, :, self._dense_lu] = self._dense_scale * (
+                W.sum(axis=2)[:, :, None] - W @ T2.transpose(0, 2, 1))
         if self.level_val.size:
-            per_level = W @ self.L.T
-            starts = self.level_start
-            grad_l[:, self.level_cols] = -c * np.add.reduceat(per_level * (1.0 - tz[0] * tz[0]),
-                                                              starts, axis=1)
-            grad_u[:, self.level_cols] = c * np.add.reduceat(per_level * (1.0 - tz[1] * tz[1]),
-                                                             starts, axis=1)
+            # per level and side: the weights of its rows times the slope there
+            per_level = (W @ self.L.T)[:, :, None, :] * (1.0 - tz * tz)[:, None]
+            grad[:, :, self._level_lu] = self._level_scale * np.add.reduceat(
+                per_level.reshape(a, 2, -1), self._level_starts, axis=2)
         return BoxPass(
-            h_sum=max(float(h.sum()), 1e-300),  # h > 0 except at underflow-extreme c2
-            match_sum=float(h @ self.match),
-            grad_l=grad_l,
-            grad_u=grad_u,
-            n_in=int(np.count_nonzero(inside)),
-            n_match=int(np.count_nonzero(inside & self._matched)),
+            h_sum=np.maximum(h.sum(axis=1), 1e-300),  # h > 0 except at underflow-extreme c2
+            # one BLAS dot per row, as for a single box
+            match_sum=(h[:, None, :] @ match[:, :, None])[:, 0, 0],
+            grad=grad,
+            n_in=np.add.reduce(inside, axis=1),
+            n_match=np.add.reduce(inside & (match > 0.5), axis=1),
         )
 
-    def exact(self, l: np.ndarray, u: np.ndarray) -> tuple[int, int]:
-        """Rows inside the box and, of those, label-matching rows."""
-        inside = np.ones(self.n, dtype=bool)
+    def exact(self, l: np.ndarray, u: np.ndarray,
+              match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows inside each box and, of those, label-matching rows: two (A,) arrays."""
+        inside = True
         if self.dense.size:
             Xd = self.Xd
-            inside &= ((Xd >= l[self.dense, None]) & (Xd <= u[self.dense, None])).all(axis=0)
+            inside = ((Xd >= l[:, self.dense, None]) & (Xd <= u[:, self.dense, None])).all(axis=1)
         if self.level_val.size:
             c = self.level_col
-            outside = (self.level_val < l[c]) | (self.level_val > u[c])
-            inside &= outside @ self.L == 0.0
-        return int(np.count_nonzero(inside)), int(np.count_nonzero(inside & self._matched))
+            outside = (self.level_val < l[:, c]) | (self.level_val > u[:, c])
+            inside = inside & (outside @ self.L == 0.0)
+        return np.add.reduce(inside, axis=1), np.add.reduce(inside & (match > 0.5), axis=1)
 
 
 def membership_values(b: BoxBounds, points: np.ndarray, k: ApproxConstants) -> np.ndarray:
@@ -323,7 +331,7 @@ def membership_values(b: BoxBounds, points: np.ndarray, k: ApproxConstants) -> n
     gamma(u_j - x_j + cl) (soft u >= x); the 2D values are combined by a
     soft AND, gamma(mean - ch).
     """
-    return BoxStats(points, k=k).membership(b.l, b.u)
+    return BoxStats(points, k).membership(b.l[None], b.u[None])[0]
 
 
 def membership_h(b: BoxBounds, x: np.ndarray, k: ApproxConstants = ApproxConstants()) -> float:

@@ -8,13 +8,15 @@ Adam update with per-iteration clipping of both bound vectors to [0, 1].
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .indicator import ApproxConstants, BoxBounds, BoxStats
+from .indicator import ApproxConstants, BoxBounds, BoxPass, BoxStats
 
 log = logging.getLogger(__name__)
 
@@ -99,76 +101,70 @@ class OptimizationTrace:
                 fh.write(line + "\n")
 
 
-class _Adam:
-    """Plain Adam with bias correction; step() returns the ascent update."""
-
-    def __init__(self, size: int, cfg: OptimizerConfig):
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.t = 0
-        self.cfg = cfg
-
-    def step(self, grad: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        self.t += 1
-        self.m = cfg.adam_beta1 * self.m + (1.0 - cfg.adam_beta1) * grad
-        self.v = cfg.adam_beta2 * self.v + (1.0 - cfg.adam_beta2) * (grad * grad)
-        m_hat = self.m / (1.0 - cfg.adam_beta1 ** self.t)
-        v_hat = self.v / (1.0 - cfg.adam_beta2 ** self.t)
-        return cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+# Boxes step together in blocks whose work arrays (above all the kernel's
+# dense (A, 4w, N) buffer) fit in this many bytes. Past a few MB a block
+# gains no speed, since a numpy call's fixed cost is already small against
+# its work, but it keeps adding resident memory.
+BLOCK_BYTES = 2 << 20
+# Iterations stepped between the checks that stop converged boxes and rank
+# iterates. A box that converges inside a stretch still stops at its own
+# iteration: the steps it took after it are discarded.
+STRETCH = 32
 
 
-@dataclass
-class _Evaluation:
-    objective: float
-    grad_l: np.ndarray
-    grad_u: np.ndarray
-    cov_hat: float
-    pre_hat: float
-    cov: float
-    pre: float | None
-    violation: float
+def _precision(n_match: np.ndarray, n_in: np.ndarray) -> np.ndarray:
+    """Exact precision, NaN where the box is empty."""
+    return n_match / np.where(n_in > 0, n_in, np.nan)
 
 
-def _evaluate(
-    stats: BoxStats,
-    l: np.ndarray,
-    u: np.ndarray,
-    query: np.ndarray,
-    cfg: OptimizerConfig,
-) -> _Evaluation:
-    """Objective value and its analytic gradient from one kernel pass.
+@functools.cache
+def _side(d: int) -> np.ndarray:
+    """+1 on the D lower bounds, -1 on the D upper ones."""
+    return np.repeat([1.0, -1.0], d)
+
+
+def _past(lu: np.ndarray, qq: np.ndarray) -> np.ndarray:
+    """How far each bound of (..., 2D) bounds ``lu`` = (l, u) lies past the
+    query, ``qq`` = (q, q): l - q on the lower bounds, q - u on the upper."""
+    return (lu - qq) * _side(lu.shape[-1] // 2)
+
+
+def _containment(lu: np.ndarray, qq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which bounds lie past the query, and the containment violation: the
+    summed distance past it, per box."""
+    past = _past(lu, qq)
+    viol = np.add.reduce(np.maximum(past, 0.0).reshape(*past.shape[:-1], 2, -1), axis=-1)
+    return past > 0.0, viol[..., 0] + viol[..., 1]
+
+
+def _gradient(p: BoxPass, past: np.ndarray, cfg: OptimizerConfig, n: int) -> np.ndarray:
+    """Analytic gradient of the objective with respect to (l, u), (A, 2D).
 
     Step terms (the sgn inside gamma and the precision gate) are treated as
     locally constant, so the gradient is exact everywhere off their jumps.
     """
-    p = stats.evaluate(l, u)
-    n = stats.n
-    cov_hat = p.h_sum / n
-    pre_hat = p.match_sum / p.h_sum
-    cov = p.n_in / n
-    pre = p.n_match / p.n_in if p.n_in else None
-
-    if pre is None:
-        gate = 2.0  # empty box: force the precision term on, same as pre < P
-    else:
-        gate = 1.0 + float(np.sign(cfg.precision_threshold - pre))
-
-    viol_l = np.maximum(l - query, 0.0)
-    viol_u = np.maximum(query - u, 0.0)
-    violation = float(viol_l.sum() + viol_u.sum())
-
-    objective = cov_hat + cfg.lambda1 * pre_hat * gate - cfg.lambda2 * violation
-
+    # an empty box has no matches, so counting it as one row gives it
+    # precision 0 and the gate of pre < P
+    gate = 1.0 + np.sign(cfg.precision_threshold - p.n_match / np.maximum(p.n_in, 1))
     # pre_hat = match_sum / h_sum, differentiated by the quotient rule
-    inv = 1.0 / (p.h_sum * p.h_sum)
-    dpre_dl = (p.h_sum * p.grad_l[1] - p.match_sum * p.grad_l[0]) * inv
-    dpre_du = (p.h_sum * p.grad_u[1] - p.match_sum * p.grad_u[0]) * inv
-    weight = cfg.lambda1 * gate
-    grad_l = p.grad_l[0] / n + weight * dpre_dl - cfg.lambda2 * (l > query)
-    grad_u = p.grad_u[0] / n + weight * dpre_du + cfg.lambda2 * (query > u)
+    h_sum, match_sum = p.h_sum[:, None], p.match_sum[:, None]
+    dpre = (h_sum * p.grad[:, 1] - match_sum * p.grad[:, 0]) * (1.0 / (h_sum * h_sum))
+    return (p.grad[:, 0] / n + (cfg.lambda1 * gate)[:, None] * dpre
+            - cfg.lambda2 * _side(past.shape[-1] // 2) * (past > 0.0))
 
-    return _Evaluation(objective, grad_l, grad_u, cov_hat, pre_hat, cov, pre, violation)
+
+def _terms(h_sum, match_sum, n_in, n_match, violation, cfg: OptimizerConfig, n: int):
+    """Objective, soft and exact coverage and precision from a pass's sums,
+    and the violation passed in, for any leading shape of boxes."""
+    cov_hat = h_sum / n
+    pre_hat = match_sum / h_sum
+    cov = n_in / n
+    pre = _precision(n_match, n_in)
+    # the precision gate is 0, 1 or 2 as pre is above, at or below P; an
+    # empty box (pre NaN) forces the precision term on, same as pre < P
+    gate = np.fmin(1.0 + np.sign(cfg.precision_threshold - pre), 2.0)
+    objective = cov_hat + cfg.lambda1 * pre_hat * gate - cfg.lambda2 * violation
+    return objective, cov_hat, pre_hat, cov, pre, violation
 
 
 def _prep(query, data, labels, query_label):
@@ -176,6 +172,13 @@ def _prep(query, data, labels, query_label):
     q = np.asarray(query, dtype=np.float64)
     match = (np.asarray(labels) == query_label).astype(np.float64)
     return q, X, match
+
+
+def _pass_one(b, query, data, labels, query_label, k):
+    """Row count, kernel pass and (1, 2D) bounds and queries of one box."""
+    q, X, match = _prep(query, data, labels, query_label)
+    p = BoxStats(X, k).evaluate(b.l[None], b.u[None], match[None])
+    return X.shape[0], p, np.concatenate([b.l, b.u])[None], np.concatenate([q, q])[None]
 
 
 def objective(
@@ -188,8 +191,9 @@ def objective(
     k: ApproxConstants = ApproxConstants(),
 ) -> float:
     """Penalized ascent objective at one set of bounds."""
-    q, X, match = _prep(query, data, labels, query_label)
-    return _evaluate(BoxStats(X, match, k), b.l, b.u, q, cfg).objective
+    n, p, lu, qq = _pass_one(b, query, data, labels, query_label, k)
+    violation = _containment(lu, qq)[1]
+    return float(_terms(p.h_sum, p.match_sum, p.n_in, p.n_match, violation, cfg, n)[0][0])
 
 
 def gradient(
@@ -202,19 +206,15 @@ def gradient(
     k: ApproxConstants = ApproxConstants(),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of the objective w.r.t. (l, u)."""
-    q, X, match = _prep(query, data, labels, query_label)
-    ev = _evaluate(BoxStats(X, match, k), b.l, b.u, q, cfg)
-    return ev.grad_l, ev.grad_u
+    n, p, lu, qq = _pass_one(b, query, data, labels, query_label, k)
+    grad = _gradient(p, _past(lu, qq), cfg, n)[0]
+    return grad[:b.dim], grad[b.dim:]
 
 
 def initial_bounds(query: np.ndarray, margin: float = 0.05) -> BoxBounds:
     """Small box around the query: guaranteed containment, likely feasible."""
     q = np.asarray(query, dtype=np.float64)
     return BoxBounds(np.clip(q - margin, 0.0, 1.0), np.clip(q + margin, 0.0, 1.0))
-
-
-def _snap_to_query(l: np.ndarray, u: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.minimum(l, query), np.maximum(u, query)
 
 
 def optimize(
@@ -233,62 +233,195 @@ def optimize(
     snap, if enabled), then by exact coverage. Infeasibility of the winner
     is flagged on the trace, not raised.
     """
-    q, X, match = _prep(query, data, labels, query_label)
-    stats = BoxStats(X, match, k)
-    l = initial.l.copy()
-    u = initial.u.copy()
-    d = l.shape[0]
-    adam = _Adam(2 * d, cfg)
-    trace = OptimizationTrace()
+    q = np.asarray(query, dtype=np.float64)
+    return optimize_many([initial], q[None], BoxStats(data, k), labels, [query_label], cfg)[0]
 
-    best_key = None
-    best_lu = None
 
-    def consider(l_now, u_now, ev, iteration):
-        nonlocal best_key, best_lu
-        cov, pre = ev.cov, ev.pre
-        if cfg.containment_snap and ev.violation > 0.0:
-            # the snap moves a bound only where the query lies outside
-            l_now, u_now = _snap_to_query(l_now, u_now, q)
-            n_in, n_match = stats.exact(l_now, u_now)
-            cov = n_in / stats.n
-            pre = n_match / n_in if n_in else None
-        feasible = pre is not None and pre >= cfg.precision_threshold
-        key = (1 if feasible else 0, cov)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_lu = (l_now.copy(), u_now.copy())
-            trace.best_iteration = iteration
-            trace.feasible = feasible
+def _box_bytes(stats: BoxStats) -> int:
+    """Work-array bytes of one box in a block: the kernel's dense buffer and
+    about ten other per-row arrays of a pass, plus a stretch of its bounds
+    and two arrays of their distances past the query."""
+    return 8 * stats.n * (4 * stats.dense.size + 10) + 8 * STRETCH * 6 * stats.d
 
-    ev = _evaluate(stats, l, u, q, cfg)
-    if ev.pre is None:
+
+def optimize_many(
+    initial: list[BoxBounds],
+    queries: np.ndarray,
+    stats: BoxStats,
+    labels: np.ndarray,
+    query_labels: list[int],
+    cfg: OptimizerConfig,
+) -> list[tuple[BoxBounds, OptimizationTrace]]:
+    """``optimize`` for many queries over one dataset: the ascents step in
+    lockstep, in blocks of at most ``BLOCK_BYTES`` of work arrays. Each
+    query's result equals that of ``optimize`` run on it alone."""
+    labels = np.asarray(labels)
+    size = max(1, BLOCK_BYTES // _box_bytes(stats))
+    out = []
+    for s in range(0, len(initial), size):
+        block = slice(s, s + size)
+        match = (labels == np.asarray(query_labels[block])[:, None]).astype(np.float64)
+        out += _ascend(stats, initial[block], np.asarray(queries[block], dtype=np.float64),
+                       match, cfg)
+    return out
+
+
+def _ascend(
+    stats: BoxStats,
+    initial: list[BoxBounds],
+    queries: np.ndarray,
+    match: np.ndarray,
+    cfg: OptimizerConfig,
+) -> list[tuple[BoxBounds, OptimizationTrace]]:
+    """Adam ascent of A boxes in lockstep, each with its own best iterate and
+    convergence window.
+
+    Per-box state is held in (A, .) arrays over the boxes still stepping.
+    Each iteration takes one kernel pass and the gradient; everything else
+    (objective, trace values, convergence windows, snapped recounts and the
+    ranking of iterates) is worked out once per stretch of ``STRETCH``
+    iterations, over all of them at once.
+    """
+    a, d, n = len(initial), stats.d, stats.n
+    w = cfg.convergence_window
+    lu = np.stack([np.concatenate([b.l, b.u]) for b in initial])
+    qq = np.concatenate([queries, queries], axis=1)
+    live = np.arange(a)
+    m = np.zeros((a, 2 * d))
+    v = np.zeros((a, 2 * d))
+    recent = np.empty((0, a))  # objectives of the last w - 1 iterations
+    # best iterate so far of each live box. Iterates rank feasible first, then
+    # by exact coverage: as one number, coverage plus 2 if feasible
+    # (coverages are multiples of 1/N, so adding 2 never merges two of them)
+    best_lu = lu.copy()
+    best_key = np.full(a, -1.0)  # below every key: iteration 0 always wins
+    best_iteration = np.zeros(a, dtype=np.intp)
+    # final state per box, written as boxes leave the live set
+    out_lu = np.empty_like(lu)
+    out_key = np.empty(a)
+    out_iteration = np.empty(a, dtype=np.intp)
+    stops = np.full(a, cfg.max_iters)
+    converged = np.zeros(a, dtype=bool)
+    logged = []  # (box ids, trace values) per stretch, iteration-major
+
+    def rank(LU, outside, cov, pre, violation, first, valid):
+        """Fold iterations first, first + 1, ... into the best iterates. Rows
+        are iterations: (C, A, 2D) bounds and which of them lie past the
+        query, (C, A) per-box values, ``valid`` where a box had not stopped."""
+        if cfg.containment_snap:
+            # the snap moves onto the query the bounds that lie past it
+            snap = (violation > 0.0) & valid
+            if snap.any():
+                cov, pre = cov.copy(), pre.copy()
+                for j in np.flatnonzero(snap.any(axis=1)):
+                    s = snap[j]
+                    snapped = np.where(outside[j, s], qq[s], LU[j, s])
+                    n_in, n_match = stats.exact(snapped[:, :d], snapped[:, d:], match[s])
+                    cov[j, s] = n_in / n
+                    pre[j, s] = _precision(n_match, n_in)
+        key = np.where(valid, cov + 2.0 * (pre >= cfg.precision_threshold), -np.inf)
+        row = np.argmax(key, axis=0)  # the first row holding each box's top key
+        boxes = np.arange(key.shape[1])
+        top = key[row, boxes]
+        better = top > best_key
+        won = row[better], boxes[better]
+        best_lu[better] = (np.where(outside[won], qq[better], LU[won]) if cfg.containment_snap
+                           else LU[won])
+        best_key[better] = top[better]
+        best_iteration[better] = first + row[better]
+
+    def retire(boxes):
+        out_lu[live[boxes]] = best_lu[boxes]
+        out_key[live[boxes]] = best_key[boxes]
+        out_iteration[live[boxes]] = best_iteration[boxes]
+
+    p = stats.evaluate(lu[:, :d], lu[:, d:], match)
+    grad = _gradient(p, _past(lu, qq), cfg, n)
+    outside, violation = _containment(lu, qq)
+    _, _, _, cov, pre, _ = _terms(p.h_sum, p.match_sum, p.n_in, p.n_match, violation, cfg, n)
+    if np.isnan(pre).any():
         log.debug("initial box empty: precision gate forced active")
-    consider(l, u, ev, 0)
+    rank(lu[None], outside[None], cov[None], pre[None], violation[None], 0,
+         np.ones((1, a), bool))
 
-    objectives = []
-    for it in range(1, cfg.max_iters + 1):
-        step = adam.step(np.concatenate([ev.grad_l, ev.grad_u]))
-        l = np.clip(l + step[:d], 0.0, 1.0)
-        u = np.clip(u + step[d:], 0.0, 1.0)
-        crossed = l > u
-        if crossed.any():
-            # an inverted axis admits nothing and is an absorbing state under
-            # ascent; project both bounds onto their midpoint so the (empty)
-            # box can keep moving
-            mid = 0.5 * (l[crossed] + u[crossed])
-            l[crossed] = mid
-            u[crossed] = mid
-        ev = _evaluate(stats, l, u, q, cfg)
-        trace.records.append(TraceRecord(it, ev.objective, ev.cov_hat, ev.pre_hat,
-                                         ev.cov, ev.pre, ev.violation))
-        consider(l, u, ev, it)
-        objectives.append(ev.objective)
-        w = cfg.convergence_window
-        if len(objectives) >= w:
-            window = objectives[-w:]
-            if max(window) - min(window) < cfg.convergence_tol:
-                trace.converged = True
-                break
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    it = 0
+    LU = np.empty((min(STRETCH, cfg.max_iters), a, 2 * d))  # the stretch's iterates
+    while live.size and it < cfg.max_iters:
+        first = it + 1
+        if LU.shape[1] != live.size:
+            LU = np.empty((LU.shape[0], live.size, 2 * d))
+        sums = []
+        for j, it in enumerate(range(first, min(first + STRETCH, cfg.max_iters + 1))):
+            m = b1 * m + (1.0 - b1) * grad
+            v = b2 * v + (1.0 - b2) * (grad * grad)
+            m_hat = m / (1.0 - b1 ** it)
+            v_hat = v / (1.0 - b2 ** it)
+            lu = np.clip(lu + cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps),
+                         0.0, 1.0, out=LU[j])
+            l, u = lu[:, :d], lu[:, d:]
+            crossed = l > u
+            if crossed.any():
+                # an inverted axis admits nothing and is an absorbing state
+                # under ascent; project both bounds onto their midpoint so the
+                # (empty) box can keep moving
+                mid = 0.5 * (l[crossed] + u[crossed])
+                l[crossed] = mid
+                u[crossed] = mid
+            p = stats.evaluate(l, u, match)
+            grad = _gradient(p, _past(lu, qq), cfg, n)
+            sums.append((p.h_sum, p.match_sum, p.n_in, p.n_match))
+        rows = len(sums)
+        outside, violation = _containment(LU[:rows], qq)
+        terms = _terms(*(np.array(x) for x in zip(*sums)), violation, cfg, n)
+        objective, _, _, cov, pre, _ = terms
 
-    return BoxBounds(*best_lu), trace
+        # a box converges at the first iteration whose window of the last w
+        # objectives spans less than convergence_tol
+        hist = np.concatenate([recent, objective])
+        valid = np.ones(objective.shape, dtype=bool)
+        done = np.zeros(live.size, dtype=bool)
+        if hist.shape[0] >= w:
+            # windows[i, :, k] = hist[i + k]: the window of w rows ending at i + w - 1
+            windows = as_strided(hist, (hist.shape[0] - w + 1, hist.shape[1], w),
+                                 (hist.strides[0], hist.strides[1], hist.strides[0]),
+                                 writeable=False)
+            fired = np.maximum.reduce(windows, axis=2) - np.minimum.reduce(windows, axis=2) \
+                < cfg.convergence_tol
+            done = fired.any(axis=0)
+            if done.any():
+                stop = np.argmax(fired, axis=0) + w - 1 - recent.shape[0]  # stretch row
+                valid = np.arange(rows)[:, None] <= np.where(done, stop, rows)
+                stops[live[done]] = first + stop[done]
+                converged[live[done]] = True
+        rank(LU[:rows], outside, cov, pre, violation, first, valid)
+        logged.append((np.broadcast_to(live, valid.shape)[valid],
+                       np.stack(terms, axis=2)[valid]))
+        recent = hist[max(0, hist.shape[0] - (w - 1)):]
+
+        if done.any():
+            retire(done)
+            keep = ~done
+            live, lu, m, v, grad, qq, match, best_lu, best_key, best_iteration = (
+                x[keep] for x in (live, lu, m, v, grad, qq, match, best_lu, best_key,
+                                  best_iteration))
+            recent = recent[:, keep]
+    retire(np.ones(live.size, dtype=bool))
+
+    # trace records, regrouped from iteration-major stretches into per-box rows
+    if logged:
+        ids, values = (np.concatenate(c) for c in zip(*logged))
+        values = values[np.argsort(ids, kind="stable")].tolist()
+    else:
+        values = []
+    out = []
+    start = 0
+    for i in range(a):
+        box_values = values[start:start + stops[i]]
+        start += stops[i]
+        records = [TraceRecord(j, obj, ch, ph, cov, None if pre != pre else pre, viol)
+                   for j, (obj, ch, ph, cov, pre, viol) in enumerate(box_values, start=1)]
+        trace = OptimizationTrace(records, bool(converged[i]), int(out_iteration[i]),
+                                  bool(out_key[i] >= 2.0))
+        out.append((BoxBounds(out_lu[i, :d], out_lu[i, d:]), trace))
+    return out

@@ -77,6 +77,17 @@ class TestStoredColumn:
         with pytest.raises(ProviderError):
             StoredColumnProvider(np.zeros((3, 2)), np.zeros(2, dtype=int))
 
+    def test_conflicting_duplicate_rows_rejected(self):
+        X = np.array([[0.1, 0.2], [0.5, 0.5], [0.1, 0.2]])
+        with pytest.raises(ProviderError, match="rows 0 and 2") as info:
+            StoredColumnProvider(X, np.array([0, 1, 1]))
+        assert info.value.point_index == 2
+
+    def test_identical_duplicate_rows_accepted(self):
+        X = np.array([[0.1, 0.2], [0.5, 0.5], [0.1, 0.2]])
+        provider = StoredColumnProvider(X, np.array([1, 0, 1]))
+        np.testing.assert_array_equal(predict_batch(provider, X), [1, 0, 1])
+
 
 class TestPerturbations:
     def test_zero_flip_copies(self):
@@ -178,6 +189,13 @@ class TestExternalCommand:
             with pytest.raises(ProviderError, match="timed out") as info:
                 provider.predict(np.zeros((2, 1)))
             assert info.value.point_index == 0
+
+    def test_boolean_label_reported(self):
+        cmd = f"{sys.executable} -c \"[print('[0, true]', flush=True) for _ in iter(input, None)]\""
+        with ExternalCommandProvider(cmd) as provider:
+            with pytest.raises(ProviderError, match="non-integer label True") as info:
+                provider.predict(np.zeros((2, 1)))
+            assert info.value.point_index == 1
 
     def test_non_integer_label_reported(self):
         cmd = f"{sys.executable} -c \"[print('[0.5, 1]', flush=True) for _ in iter(input, None)]\""

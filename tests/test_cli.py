@@ -55,7 +55,9 @@ class TestExplainCommand:
         X = rng.random((400, 1))
         labels = rng.integers(0, 2, 400)  # pure noise: precision 0.999 unreachable
         data = tmp_path / "noise.csv"
-        data.write_text("x0,y\n" + "\n".join(f"{v:.6f},{y}" for v, y in zip(X[:, 0], labels)) + "\n")
+        # nine decimals keep the 400 values distinct: equal points with
+        # different labels are rejected
+        data.write_text("x0,y\n" + "\n".join(f"{v:.9f},{y}" for v, y in zip(X[:, 0], labels)) + "\n")
         schema = tmp_path / "s.json"
         schema.write_text(json.dumps({"attributes": [
             {"name": "x0", "kind": "continuous", "range": [0.0, 1.0]}]}))
@@ -301,3 +303,18 @@ class TestGlobalCommand:
         assert len(lines) == 1 + len(record["members"])
         coverages = [float(line.split(",")[1]) for line in lines[1:]]
         assert coverages == sorted(coverages)
+
+    def test_threads_flag_is_ignored(self, tmp_path, tabular, caplog):
+        data, schema, _, _ = tabular
+        outputs = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"global-{threads}"
+            caplog.clear()
+            code = run("global", "--data", data, "--schema", schema, "--label-column", "y",
+                       "--anchors", "5", "--budget", "3", "--iters", "120",
+                       "--precision", "0.9", "--threads", threads, "--out-dir", str(out))
+            assert code == 0
+            warnings = [r for r in caplog.records if "--threads" in r.getMessage()]
+            assert len(warnings) == (0 if threads == "1" else 1)
+            outputs.append((out / "global.json").read_text())
+        assert outputs[0] == outputs[1]

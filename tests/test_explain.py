@@ -1,8 +1,10 @@
 """Local explanation pipeline: optimize, snap, eliminate, render."""
 
+import importlib
 import json
 
 import numpy as np
+import pytest
 
 from maire import (
     AttributeSchema,
@@ -14,10 +16,13 @@ from maire import (
     greedy_eliminate,
     render,
 )
-from maire.explain import Explanation, _eliminate, explain_encoded
-from maire.indicator import inside_mask, pre_exact_or_none
+from maire.explain import Explanation, _eliminate, explain_encoded, explain_many
+from maire.indicator import BoxStats, inside_mask, pre_exact_or_none
 from maire.schema import RawTable, decode_bounds, encode, nontrivial_attributes
 from maire.synthetic import synthetic_dataset
+
+# the package exports a function of the same name
+optimize_module = importlib.import_module("maire.optimize")
 
 
 def continuous_space(rng, n, d, names=None):
@@ -176,6 +181,64 @@ class TestExplainPipeline:
         assert len(expl.clauses) <= 2
         for clause in expl.clauses:
             assert clause.attribute in ("Age", "Sex")
+
+
+def mixed_space(rng, n):
+    """Two continuous, one ordered and one categorical attribute."""
+    attrs = [
+        AttributeSchema(name="a", kind="continuous", value_range=(0.0, 1.0)),
+        AttributeSchema(name="b", kind="continuous", value_range=(0.0, 1.0)),
+        AttributeSchema(name="g", kind="ordered_discrete", levels=(1, 2, 3, 4, 5)),
+        AttributeSchema(name="c", kind="categorical", categories=("x", "y", "z")),
+    ]
+    a, b = rng.random(n), rng.random(n)
+    g = rng.integers(1, 6, n).astype(float)
+    c = np.asarray(rng.choice(["x", "y", "z"], n), dtype=object)
+    labels = (((a < 0.6) & (g >= 2)) | (c == "z")).astype(int)
+    return encode(RawTable(attrs, [a, b, g, c])), labels
+
+
+class TestExplainMany:
+    @pytest.mark.parametrize("snap", [True, False])
+    def test_equals_one_query_at_a_time(self, monkeypatch, snap):
+        space, labels = mixed_space(np.random.default_rng(11), 150)
+        rows = list(range(0, 150, 6))
+        # a short window with a wide tolerance stops some anchors early
+        cfg = OptimizerConfig(precision_threshold=0.9, max_iters=200, convergence_window=10,
+                              convergence_tol=2e-3, containment_snap=snap)
+        alone = [explain_encoded(space.matrix[r], space, labels, labels[r], cfg, max_attrs=2)
+                 for r in rows]
+        stops = [len(e.trace) for e in alone]
+        assert min(stops) < cfg.max_iters and max(stops) == cfg.max_iters
+        assert len({s % optimize_module.STRETCH for s in stops}) > 1
+
+        # blocks of four anchors: the 25 anchors take seven blocks
+        box_bytes = optimize_module._box_bytes(BoxStats(space.matrix))
+        monkeypatch.setattr(optimize_module, "BLOCK_BYTES", 4 * box_bytes)
+        blocks = []
+        ascend = optimize_module._ascend
+        monkeypatch.setattr(optimize_module, "_ascend",
+                            lambda stats, initial, *rest: blocks.append(len(initial))
+                            or ascend(stats, initial, *rest))
+        many = explain_many(space.matrix[rows], space, labels, labels[rows], cfg, max_attrs=2)
+        assert blocks == [4] * 6 + [1]
+
+        for one, lockstep in zip(alone, many):
+            assert lockstep.rule_text() == one.rule_text()
+            np.testing.assert_allclose(lockstep.bounds.l, one.bounds.l, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(lockstep.bounds.u, one.bounds.u, rtol=0, atol=1e-12)
+            assert (lockstep.coverage, lockstep.precision) == (one.coverage, one.precision)
+            assert len(lockstep.trace) == len(one.trace)
+            assert lockstep.trace.best_iteration == one.trace.best_iteration
+            assert lockstep.trace.converged == one.trace.converged
+            assert lockstep.trace.feasible == one.trace.feasible
+            np.testing.assert_allclose([r.objective for r in lockstep.trace.records],
+                                       [r.objective for r in one.trace.records], rtol=1e-12)
+
+    def test_no_queries(self):
+        space, labels = mixed_space(np.random.default_rng(12), 40)
+        empty = np.zeros((0, space.matrix.shape[1]))
+        assert explain_many(empty, space, labels, [], OptimizerConfig(max_iters=10)) == []
 
 
 class TestRender:

@@ -6,12 +6,17 @@ arrays. Tables mix continuous, ordered and one-hot columns so that both of
 the kernel's blocks (dense and level) are exercised, alone and together.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from maire import ApproxConstants, BoxBounds, OptimizerConfig, cov_hat, gradient, objective, pre_hat
 from maire.indicator import LEVEL_LIMIT, BoxStats, membership_values
+
+# the package exports a function of the same name
+optimize_module = importlib.import_module("maire.optimize")
 
 
 def ref_sigmoid(x):
@@ -139,10 +144,10 @@ def test_objective_gradient_and_counts_match_reference(table, mode, threshold, s
     got_l, got_u = gradient(b, q, X, labels, 1, cfg, k)
     close(np.concatenate([got_l, got_u]), np.concatenate([gl, gu]))
 
-    stats = BoxStats(X, match, k)
-    p = stats.evaluate(l, u)
-    assert (p.n_in, p.n_match) == (n_in, n_match)
-    assert stats.exact(l, u) == (n_in, n_match)
+    stats = BoxStats(X, k)
+    p = stats.evaluate(l[None], u[None], match[None])
+    assert (p.n_in[0], p.n_match[0]) == (n_in, n_match)
+    assert [c[0] for c in stats.exact(l[None], u[None], match[None])] == [n_in, n_match]
 
 
 @settings(max_examples=200, deadline=None)
@@ -157,6 +162,60 @@ def test_soft_measures_match_reference(table, mode, scaled):
     close(cov_hat(b, X, k), h.mean())
     match = labels == 1
     close(pre_hat(b, X, labels, 1, k), (h * match).sum() / max(h.sum(), 1e-300))
+
+
+@st.composite
+def block_tables(draw):
+    """A table whose columns fill both kernel blocks, only the dense one or
+    only the level one."""
+    layout = draw(st.sampled_from(["mixed", "dense", "level"]))
+    n = draw(st.integers(LEVEL_LIMIT + 1, 200))  # continuous columns stay dense
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    if layout != "level":
+        cols += [rng.random(n) for _ in range(int(rng.integers(1, 4)))]
+    if layout != "dense":
+        m = int(rng.integers(2, 7))
+        cols.append((rng.integers(0, m, n) + 1.0) / (m + 1))
+        cols.extend(np.eye(3)[rng.integers(0, 3, n)].T)
+    X = np.column_stack(cols)
+    return X, rng.integers(0, 3, n), rng, layout
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_tables(), st.lists(st.sampled_from(BOX_MODES), min_size=1, max_size=6),
+       st.sampled_from([0.05, 0.5, 0.9, 1.0]), st.booleans())
+def test_many_boxes_in_one_pass_match_single_passes(table, modes, threshold, scaled):
+    X, labels, rng, layout = table
+    n, d = X.shape
+    k = ApproxConstants.for_dimension(d) if scaled else ApproxConstants()
+    stats = BoxStats(X, k)
+    assert (stats.dense.size > 0, stats.level_cols.size > 0) == {
+        "mixed": (True, True), "dense": (True, False), "level": (False, True)}[layout]
+    boxes = [draw_box(mode, X, rng) for mode in modes]
+    L = np.stack([l for l, _ in boxes])
+    U = np.stack([u for _, u in boxes])
+    query_labels = rng.integers(0, 3, len(boxes))  # each box matches its own label row
+    match = (labels == query_labels[:, None]).astype(np.float64)
+    Q = X[rng.integers(n, size=len(boxes))]
+    cfg = OptimizerConfig(precision_threshold=threshold)
+
+    p = stats.evaluate(L, U, match)
+    n_in, n_match = stats.exact(L, U, match)
+    lu, qq = np.concatenate([L, U], axis=1), np.concatenate([Q, Q], axis=1)
+    violation = optimize_module._containment(lu, qq)[1]
+    obj = optimize_module._terms(p.h_sum, p.match_sum, p.n_in, p.n_match, violation, cfg, n)[0]
+    grad = optimize_module._gradient(p, optimize_module._past(lu, qq), cfg, n)
+    for i, (l, u) in enumerate(boxes):
+        one = BoxStats(X, k).evaluate(l[None], u[None], match[i:i + 1])
+        close(p.h_sum[i], one.h_sum[0])
+        close(p.match_sum[i], one.match_sum[0])
+        close(p.grad[i], one.grad[0])
+        assert (p.n_in[i], p.n_match[i]) == (one.n_in[0], one.n_match[0])
+        assert (n_in[i], n_match[i]) == (one.n_in[0], one.n_match[0])
+        b = BoxBounds(l, u)
+        close(obj[i], objective(b, Q[i], X, labels, query_labels[i], cfg, k))
+        close(grad[i], np.concatenate(gradient(b, Q[i], X, labels, query_labels[i], cfg, k)))
 
 
 class TestBlocks:

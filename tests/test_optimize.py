@@ -204,6 +204,25 @@ class TestOptimize:
         assert trace.converged
         assert len(trace) < 2500
 
+    @pytest.mark.parametrize("window", [1, 7, 64, 65, 100, 150])
+    def test_stops_at_first_calm_window(self, window):
+        # the box grows to the full square, after which the objective is flat
+        rng = np.random.default_rng(0)
+        X = rng.random((120, 2))
+        labels = np.ones(120, dtype=int)
+        labels[:3] = 0
+        q = np.array([0.5, 0.5])
+        cfg = OptimizerConfig(precision_threshold=0.5, max_iters=1500, learning_rate=0.004,
+                              convergence_window=window, convergence_tol=1e-9)
+        _, trace = optimize(initial_bounds(q), q, X, labels, 1, cfg)
+        objectives = [r.objective for r in trace.records]
+        calm = [t for t in range(window, len(objectives) + 1)
+                if max(objectives[t - window:t]) - min(objectives[t - window:t]) < 1e-9]
+        assert trace.converged
+        assert calm[0] == len(trace) < cfg.max_iters
+        assert [r.iteration for r in trace.records] == list(range(1, len(trace) + 1))
+        assert trace.best_iteration <= len(trace)
+
     def test_rectangle_recovery_quick(self):
         shape, space, labels = synthetic_dataset("rect", 2500, seed=3)
         q = np.array([0.5, 0.5])
