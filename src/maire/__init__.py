@@ -7,14 +7,12 @@ global rule set by greedy coverage selection.
 """
 
 from .blackbox import (
-    BooleanPerturbationProvider,
     ExternalCommandProvider,
     PredictionProvider,
     StoredColumnProvider,
     SyntheticOracle,
     SyntheticShape,
     predict_batch,
-    sample_perturbations,
 )
 from .errors import (
     InconsistentExplanationError,
@@ -57,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxConstants",
     "AttributeSchema",
-    "BooleanPerturbationProvider",
     "BoundsAudit",
     "BoxBounds",
     "EncodedSpace",
@@ -103,6 +100,5 @@ __all__ = [
     "predict_batch",
     "render",
     "rp_select",
-    "sample_perturbations",
     "snap_discrete",
 ]

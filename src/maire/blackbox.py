@@ -2,8 +2,7 @@
 
 A provider maps batches of points in [0, 1]^D to integer labels. Variants:
 a stored label column keyed by row identity, built-in geometric oracles,
-an external command speaking a line-delimited JSON protocol, and boolean
-perturbation sampling around a query vector labeled by an inner provider.
+and an external command speaking a line-delimited JSON protocol.
 """
 
 from __future__ import annotations
@@ -19,10 +18,6 @@ import numpy as np
 from .errors import ProviderError
 
 EXTERNAL_CHUNK_SIZE = 1024
-
-# perturbation-sampling defaults; tune per dataset
-DEFAULT_FLIP_PROB = 0.1
-DEFAULT_SAMPLE_COUNT = 2000
 
 
 class PredictionProvider:
@@ -243,49 +238,3 @@ class ExternalCommandProvider(PredictionProvider):
                         point_index=start + i)
                 out[start + i] = label
         return out
-
-
-def sample_perturbations(base: np.ndarray, flip_prob: float, count: int, seed: int) -> np.ndarray:
-    """Boolean neighborhood of ``base``: each bit flips independently.
-
-    Row 0 is always the unmodified base vector. Reproducible under a fixed
-    seed.
-    """
-    base = np.asarray(base, dtype=np.float64)
-    if base.ndim != 1 or not np.all((base == 0.0) | (base == 1.0)):
-        raise ValueError("base must be a flat 0/1 vector")
-    if count < 1:
-        raise ValueError("count must be a positive integer")
-    if not 0.0 <= flip_prob < 1.0:
-        raise ValueError("flip_prob must lie in [0, 1)")
-    rng = np.random.default_rng(seed)
-    flips = rng.random((count, base.shape[0])) < flip_prob
-    rows = np.abs(base - flips.astype(np.float64))
-    rows[0] = base
-    return rows
-
-
-class BooleanPerturbationProvider(PredictionProvider):
-    """Perturbation sampler around a boolean query, labeled by an inner provider.
-
-    Used for data that arrives as bit vectors (word presence, region
-    presence): the local dataset is sampled rather than taken from a table.
-    """
-
-    def __init__(
-        self,
-        base: np.ndarray,
-        inner: PredictionProvider,
-        flip_prob: float = DEFAULT_FLIP_PROB,
-        count: int = DEFAULT_SAMPLE_COUNT,
-    ):
-        self.base = np.asarray(base, dtype=np.float64)
-        self.inner = inner
-        self.flip_prob = flip_prob
-        self.count = count
-
-    def sample(self, seed: int) -> np.ndarray:
-        return sample_perturbations(self.base, self.flip_prob, self.count, seed)
-
-    def predict(self, points: np.ndarray) -> np.ndarray:
-        return self.inner.predict(points)

@@ -1,8 +1,9 @@
 """Command-line surface: local/global explanation runs, synthetic figures,
 and approximation-bound audits.
 
-Exit codes: 0 success (explanation feasible), 2 explanation infeasible,
-1 any error. Set MAIRE_LOG to a logging level name for diagnostics.
+Exit codes: 0 success (explanation feasible) or ``--help``, 2 explanation
+infeasible, 1 any error, usage errors included. Set MAIRE_LOG to a logging
+level name for diagnostics.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .blackbox import (
     SyntheticOracle,
     predict_batch,
 )
-from .errors import MaireError
+from .errors import MaireError, SchemaError
 from .explain import Explanation, explain_encoded, explain_many
 from .global_explain import msd_select
 from .indicator import ApproxConstants, audit_bounds, cov_exact, cov_hat, pre_exact_or_none, pre_hat
@@ -49,22 +49,39 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--predictor-timeout-s", type=float, default=30.0)
 
 
-def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision", type=float, default=0.95, help="precision threshold P")
-    p.add_argument("--max-attrs", type=int, default=None, help="max clauses K")
-    p.add_argument("--lambda1", type=float, default=5.0)
-    p.add_argument("--lambda2", type=float, default=5.0)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--iters", type=int, default=2500)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the synthetic data and of the query and anchor draws")
-    p.add_argument("--threads", type=int, default=1,
-                   help="ignored: the anchors of global and bounds-audit are stepped in lockstep "
-                        "in one thread")
-    p.add_argument("--trace", action="store_true", help="write trace.jsonl per query")
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--no-containment-snap", action="store_true",
-                   help="skip the final snap of bounds onto the query (figure/testing mode)")
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+# the run flags; each subcommand registers the ones it reads
+_RUN_FLAGS = {
+    "--precision": dict(type=float, default=0.95, help="precision threshold P"),
+    "--max-attrs": dict(type=int, default=None, help="max clauses K"),
+    "--lambda1": dict(type=float, default=5.0),
+    "--lambda2": dict(type=float, default=5.0),
+    "--lr": dict(type=float, default=0.01),
+    "--iters": dict(type=int, default=2500),
+    "--seed": dict(type=int, default=0,
+                   help="seed of the synthetic data and of the query and anchor draws"),
+    "--threads": dict(type=int, default=1,
+                      help="ignored: the anchors are stepped in lockstep in one thread"),
+    "--trace": dict(action="store_true", help="write a per-iteration trace JSONL"),
+    "--out-dir": dict(default=".", help="output directory"),
+    "--no-containment-snap": dict(action="store_true",
+                                  help="skip the final snap of bounds onto the query"),
+}
+
+
+def _add_run_flags(p: argparse.ArgumentParser, *extra: str) -> None:
+    for name in ("--precision", "--lambda1", "--lambda2", "--lr", "--iters", *extra,
+                 "--out-dir"):
+        p.add_argument(name, **_RUN_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_explain = sub.add_parser("explain", help="explain one query instance")
     _add_data_flags(p_explain)
-    _add_optimizer_flags(p_explain)
+    _add_run_flags(p_explain, "--max-attrs", "--trace", "--no-containment-snap")
     group = p_explain.add_mutually_exclusive_group(required=True)
     group.add_argument("--query-row", type=int, help="row index of the query in --data")
     group.add_argument("--query-json", help="query instance as a JSON array of raw values")
@@ -83,22 +100,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("shape", choices=sorted(SHAPES))
     p_synth.add_argument("--n-samples", type=int, default=3000)
     p_synth.add_argument("--query-json", help="query point as a JSON array (encoded units)")
-    _add_optimizer_flags(p_synth)
+    _add_run_flags(p_synth, "--max-attrs", "--seed", "--trace")
 
     p_audit = sub.add_parser("bounds-audit",
                              help="measure exact-vs-approximate gaps over random queries")
     _add_data_flags(p_audit)
-    _add_optimizer_flags(p_audit)
+    _add_run_flags(p_audit, "--seed", "--threads", "--no-containment-snap")
     p_audit.add_argument("--c1", type=float, default=0.4)
     p_audit.add_argument("--c2", type=float, default=15.0)
     p_audit.add_argument("--cl", type=float, default=0.02)
     p_audit.add_argument("--ch", type=float, default=0.8)
-    p_audit.add_argument("--queries", type=int, default=100)
+    p_audit.add_argument("--queries", type=_positive_int, default=100)
 
     p_global = sub.add_parser("global", help="compose local explanations into a global one")
     _add_data_flags(p_global)
-    _add_optimizer_flags(p_global)
-    p_global.add_argument("--anchors", type=int, default=200,
+    _add_run_flags(p_global, "--max-attrs", "--seed", "--threads", "--no-containment-snap")
+    p_global.add_argument("--anchors", type=_positive_int, default=200,
                           help="number of randomly chosen anchor rows")
     p_global.add_argument("--budget", type=int, default=None,
                           help="max explanations in the global set")
@@ -111,18 +128,34 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    if args.threads != 1:
-        log.warning("--threads %d ignored: anchors are stepped in lockstep in one thread",
-                    args.threads)
+def _optimizer_config(args, containment_snap: bool) -> OptimizerConfig:
     return OptimizerConfig(
         precision_threshold=args.precision,
         learning_rate=args.lr,
         max_iters=args.iters,
         lambda1=args.lambda1,
         lambda2=args.lambda2,
-        containment_snap=not args.no_containment_snap,
+        containment_snap=containment_snap,
     )
+
+
+def _anchors_config(args) -> OptimizerConfig:
+    """Config of the subcommands that explain many anchors at once."""
+    if args.threads != 1:
+        log.warning("--threads %d ignored: anchors are stepped in lockstep in one thread",
+                    args.threads)
+    return _optimizer_config(args, not args.no_containment_snap)
+
+
+def _query_json(text: str) -> list:
+    """The JSON array passed as --query-json."""
+    try:
+        values = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MaireError(f"--query-json is not valid JSON: {exc}") from exc
+    if not isinstance(values, list):
+        raise MaireError(f"--query-json must be a JSON array, got {text!r}")
+    return values
 
 
 def _load_tabular(args) -> tuple:
@@ -166,11 +199,15 @@ def cmd_explain(args) -> int:
         q = space.matrix[args.query_row].copy()
         query_raw = [_jsonable(v) for v in table.row(args.query_row)]
     else:
-        values = json.loads(args.query_json)
-        q = space.encode_instance(values)
+        values = _query_json(args.query_json)
+        try:
+            q = space.encode_instance(values)
+        except (SchemaError, TypeError, ValueError) as exc:
+            raise MaireError(f"--query-json: {exc}") from exc
         query_raw = values
     query_label = int(predict_batch(provider, q[None, :])[0])
-    expl = explain_encoded(q, space, labels, query_label, _optimizer_config(args),
+    cfg = _optimizer_config(args, not args.no_containment_snap)
+    expl = explain_encoded(q, space, labels, query_label, cfg,
                            max_attrs=args.max_attrs, query_raw=query_raw)
     _write_explanation(expl, Path(args.out_dir), "explanation", args.trace)
     return EXIT_OK if expl.feasible else EXIT_INFEASIBLE
@@ -185,13 +222,19 @@ def _jsonable(v):
 def cmd_synth(args) -> int:
     shape, space, labels = synthetic_dataset(args.shape, args.n_samples, args.seed)
     if args.query_json:
-        q = np.asarray(json.loads(args.query_json), dtype=np.float64)
+        values = _query_json(args.query_json)
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+        q = np.asarray(values if numbers else [], dtype=np.float64)
+        d = space.matrix.shape[1]
+        if q.shape != (d,) or not (np.isfinite(q) & (q >= 0.0) & (q <= 1.0)).all():
+            raise MaireError(f"--query-json must hold {d} finite numbers in [0, 1], "
+                             f"got {args.query_json!r}")
     else:
         q = np.asarray(DEFAULT_QUERIES[args.shape], dtype=np.float64)
     query_label = int(SyntheticOracle(shape).predict(q[None, :])[0])
     # figure mode shows the raw optimizer outcome: containment comes from the
     # lambda2 penalty alone, never from the final snap
-    cfg = replace(_optimizer_config(args), containment_snap=False)
+    cfg = _optimizer_config(args, containment_snap=False)
     expl = explain_encoded(q, space, labels, query_label, cfg,
                            max_attrs=args.max_attrs, query_raw=[float(v) for v in q])
     out_dir = Path(args.out_dir)
@@ -204,8 +247,8 @@ def cmd_synth(args) -> int:
 
 def cmd_bounds_audit(args) -> int:
     space, labels, provider, table = _load_tabular(args)
-    constants = ApproxConstants.with_c1(args.c1, c2=args.c2, cl=args.cl, ch=args.ch)
-    cfg = _optimizer_config(args)
+    constants = ApproxConstants(c1=args.c1, c2=args.c2, cl=args.cl, ch=args.ch)
+    cfg = _anchors_config(args)
     rng = np.random.default_rng(args.seed)
     n = space.matrix.shape[0]
     picks = rng.choice(n, size=min(args.queries, n), replace=False)
@@ -240,7 +283,7 @@ def cmd_bounds_audit(args) -> int:
 
 def cmd_global(args) -> int:
     space, labels, provider, table = _load_tabular(args)
-    cfg = _optimizer_config(args)
+    cfg = _anchors_config(args)
     rng = np.random.default_rng(args.seed)
     n = space.matrix.shape[0]
     anchors = [int(i) for i in rng.choice(n, size=min(args.anchors, n), replace=False)]
@@ -264,8 +307,10 @@ def cmd_global(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         if args.command == "explain":
             return cmd_explain(args)

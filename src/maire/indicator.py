@@ -17,20 +17,17 @@ from .errors import UndefinedPrecisionError
 
 @dataclass(frozen=True)
 class ApproxConstants:
-    """The seven constants shaping the soft indicator.
+    """The free constants shaping the soft indicator.
 
-    ``c4 = c5 = 0.5`` and ``c3 = 1 - c1`` are structural: they make the
-    step term contribute exactly c3 for positive arguments, 0 for negative
-    ones and c3/2 at zero. ``c2`` controls sigmoid steepness, ``cl`` turns
-    the upper-bound comparison into a soft >=, and ``ch`` is the threshold
-    of the soft AND.
+    gamma(z) = c1*sigmoid(c2 z) + c3*(0.5 sgn z + 0.5) with c3 = 1 - c1, so
+    the step term contributes exactly c3 for positive arguments, 0 for
+    negative ones and c3/2 at zero. ``c2`` controls sigmoid steepness,
+    ``cl`` turns the upper-bound comparison into a soft >=, and ``ch`` is
+    the threshold of the soft AND.
     """
 
     c1: float = 0.4
     c2: float = 15.0
-    c3: float = 0.6
-    c4: float = 0.5
-    c5: float = 0.5
     cl: float = 0.02
     ch: float = 0.8
 
@@ -39,19 +36,15 @@ class ApproxConstants:
             raise ValueError(f"c1 must lie in (0, 1), got {self.c1}")
         if self.c2 <= 0.0:
             raise ValueError(f"c2 must be positive, got {self.c2}")
-        if abs(self.c3 - (1.0 - self.c1)) > 1e-12:
-            raise ValueError(f"c3 must equal 1 - c1, got c3={self.c3} c1={self.c1}")
-        if self.c4 != 0.5 or self.c5 != 0.5:
-            raise ValueError("c4 and c5 must both be 0.5")
         if not 0.0 < self.cl < 0.5:
             raise ValueError(f"cl must be a small positive offset, got {self.cl}")
         if not 0.0 < self.ch < 1.0:
             raise ValueError(f"ch must lie in (0, 1), got {self.ch}")
 
-    @classmethod
-    def with_c1(cls, c1: float, **kwargs) -> "ApproxConstants":
-        """Build constants with ``c3`` derived from ``c1``."""
-        return cls(c1=c1, c3=1.0 - c1, **kwargs)
+    @property
+    def c3(self) -> float:
+        """Weight of the step term, 1 - c1."""
+        return 1.0 - self.c1
 
     @classmethod
     def for_dimension(cls, dim: int) -> "ApproxConstants":
@@ -69,7 +62,6 @@ class ApproxConstants:
         c1 = 1.0 / (4.0 * dim)
         return cls(
             c1=c1,
-            c3=1.0 - c1,
             ch=1.0 - 3.0 / (16.0 * dim),
             cl=min(0.02, 1.0 / (1000.0 * dim)),
         )
@@ -134,7 +126,7 @@ def _gamma_slope(z: np.ndarray, k: ApproxConstants) -> tuple[np.ndarray, np.ndar
 
 
 def gamma(z: float, k: ApproxConstants = ApproxConstants()) -> float:
-    """Soft 0/1 indicator of ``z > 0``: c1*sigmoid(c2 z) + c3*(sgn(z)*c4 + c5).
+    """Soft 0/1 indicator of ``z > 0``: c1*sigmoid(c2 z) + c3*(0.5 sgn(z) + 0.5).
 
     Evaluates to c1*sigmoid(c2 z) + c3 for z > 0, c1*sigmoid(c2 z) for
     z < 0, and exactly 0.5 at z = 0.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -19,6 +19,11 @@ from numpy.lib.stride_tricks import as_strided
 from .indicator import ApproxConstants, BoxBounds, BoxPass, BoxStats
 
 log = logging.getLogger(__name__)
+
+# Adam's published defaults (Kingma & Ba, arXiv 1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -28,9 +33,6 @@ class OptimizerConfig:
     max_iters: int = 2500
     lambda1: float = 5.0   # weight of the gated soft-precision term
     lambda2: float = 5.0   # weight of the query-containment hinge penalty
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     convergence_tol: float = 1e-6
     convergence_window: int = 50
     containment_snap: bool = True
@@ -44,53 +46,35 @@ class OptimizerConfig:
             raise ValueError("max_iters must be >= 1")
         if self.lambda1 < 0.0 or self.lambda2 < 0.0:
             raise ValueError("lambda1 and lambda2 must be >= 0")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        if self.adam_eps <= 0.0:
-            raise ValueError("adam_eps must be positive")
         if self.convergence_tol < 0.0:
             raise ValueError("convergence_tol must be >= 0")
         if self.convergence_window < 1:
             raise ValueError("convergence_window must be >= 1")
 
 
-@dataclass
-class TraceRecord:
-    iteration: int
-    objective: float
-    cov_hat: float
-    pre_hat: float
-    cov: float
-    pre: float | None
-    violation: float
-
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "objective": self.objective,
-            "cov_hat": self.cov_hat,
-            "pre_hat": self.pre_hat,
-            "cov": self.cov,
-            "pre": self.pre,
-            "violation": self.violation,
-        }
+# the columns of OptimizationTrace.values
+TRACE_COLUMNS = ("objective", "cov_hat", "pre_hat", "cov", "pre", "violation")
 
 
 @dataclass
 class OptimizationTrace:
-    records: list[TraceRecord] = field(default_factory=list)
-    converged: bool = False
-    best_iteration: int = 0
-    feasible: bool = False
+    """One ascent's values per iteration: row t - 1 holds iteration t's
+    ``TRACE_COLUMNS``, with ``pre`` NaN where the box was empty."""
+
+    values: np.ndarray
+    converged: bool
+    best_iteration: int
+    feasible: bool
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.values.shape[0]
 
     def jsonl_lines(self):
-        last = len(self.records) - 1
-        for i, rec in enumerate(self.records):
-            d = rec.to_dict()
+        last = len(self) - 1
+        for i, row in enumerate(self.values.tolist()):
+            d = {"iteration": i + 1, **dict(zip(TRACE_COLUMNS, row))}
+            if d["pre"] != d["pre"]:
+                d["pre"] = None
             if i == last:
                 d["status"] = "converged" if self.converged else "iteration_capped"
             yield json.dumps(d, allow_nan=False)
@@ -344,7 +328,7 @@ def _ascend(
     rank(lu[None], outside[None], cov[None], pre[None], violation[None], 0,
          np.ones((1, a), bool))
 
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     it = 0
     LU = np.empty((min(STRETCH, cfg.max_iters), a, 2 * d))  # the stretch's iterates
     while live.size and it < cfg.max_iters:
@@ -357,7 +341,7 @@ def _ascend(
             v = b2 * v + (1.0 - b2) * (grad * grad)
             m_hat = m / (1.0 - b1 ** it)
             v_hat = v / (1.0 - b2 ** it)
-            lu = np.clip(lu + cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps),
+            lu = np.clip(lu + cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS),
                          0.0, 1.0, out=LU[j])
             l, u = lu[:, :d], lu[:, d:]
             crossed = l > u
@@ -408,20 +392,11 @@ def _ascend(
             recent = recent[:, keep]
     retire(np.ones(live.size, dtype=bool))
 
-    # trace records, regrouped from iteration-major stretches into per-box rows
-    if logged:
-        ids, values = (np.concatenate(c) for c in zip(*logged))
-        values = values[np.argsort(ids, kind="stable")].tolist()
-    else:
-        values = []
-    out = []
-    start = 0
-    for i in range(a):
-        box_values = values[start:start + stops[i]]
-        start += stops[i]
-        records = [TraceRecord(j, obj, ch, ph, cov, None if pre != pre else pre, viol)
-                   for j, (obj, ch, ph, cov, pre, viol) in enumerate(box_values, start=1)]
-        trace = OptimizationTrace(records, bool(converged[i]), int(out_iteration[i]),
-                                  bool(out_key[i] >= 2.0))
-        out.append((BoxBounds(out_lu[i, :d], out_lu[i, d:]), trace))
-    return out
+    # trace values, regrouped from iteration-major stretches into per-box rows
+    ids, values = (np.concatenate(c) for c in zip(*logged))
+    values = values[np.argsort(ids, kind="stable")]
+    ends = np.cumsum(stops)
+    return [(BoxBounds(out_lu[i, :d], out_lu[i, d:]),
+             OptimizationTrace(values[ends[i] - stops[i]:ends[i]], bool(converged[i]),
+                               int(out_iteration[i]), bool(out_key[i] >= 2.0)))
+            for i in range(a)]

@@ -1,4 +1,4 @@
-"""Prediction providers: oracles, stored labels, subprocess, perturbations."""
+"""Prediction providers: oracles, stored labels, subprocess."""
 
 import json
 import math
@@ -13,7 +13,6 @@ from maire import (
     SyntheticOracle,
     SyntheticShape,
     predict_batch,
-    sample_perturbations,
 )
 from maire.errors import ProviderError
 
@@ -87,55 +86,6 @@ class TestStoredColumn:
         X = np.array([[0.1, 0.2], [0.5, 0.5], [0.1, 0.2]])
         provider = StoredColumnProvider(X, np.array([1, 0, 1]))
         np.testing.assert_array_equal(predict_batch(provider, X), [1, 0, 1])
-
-
-class TestPerturbations:
-    def test_zero_flip_copies(self):
-        base = np.array([1.0, 0.0, 1.0])
-        rows = sample_perturbations(base, 0.0, 5, seed=1)
-        np.testing.assert_array_equal(rows, np.tile(base, (5, 1)))
-
-    def test_base_always_first_row(self):
-        base = np.ones(10)
-        rows = sample_perturbations(base, 0.4, 50, seed=2)
-        np.testing.assert_array_equal(rows[0], base)
-
-    def test_same_seed_reproduces(self):
-        base = np.zeros(15)
-        a = sample_perturbations(base, 0.3, 100, seed=9)
-        b = sample_perturbations(base, 0.3, 100, seed=9)
-        np.testing.assert_array_equal(a, b)
-
-    def test_mean_hamming_distance(self):
-        base = np.zeros(20)
-        rows = sample_perturbations(base, 0.5, 10000, seed=3)
-        hamming = np.abs(rows - base).sum(axis=1)
-        assert hamming.mean() == pytest.approx(10.0, abs=0.3)
-
-    def test_count_zero_rejected(self):
-        with pytest.raises(ValueError):
-            sample_perturbations(np.zeros(3), 0.5, 0, seed=0)
-
-    def test_non_boolean_base_rejected(self):
-        with pytest.raises(ValueError):
-            sample_perturbations(np.array([0.5, 1.0]), 0.5, 3, seed=0)
-
-
-class TestBooleanPerturbationProvider:
-    def test_samples_and_labels_around_base(self):
-        from maire import BooleanPerturbationProvider
-
-        base = np.ones(12)
-        # inner model: positive while bits 0..2 are all present
-        inner = SyntheticOracle(SyntheticShape(
-            kind="rectangle", l=(1.0, 1.0, 1.0) + (0.0,) * 9, u=(1.0,) * 12))
-        provider = BooleanPerturbationProvider(base, inner, flip_prob=0.2, count=500)
-        points = provider.sample(seed=4)
-        assert points.shape == (500, 12)
-        np.testing.assert_array_equal(points[0], base)
-        labels = predict_batch(provider, points)
-        expected = (points[:, :3] == 1.0).all(axis=1).astype(int)
-        np.testing.assert_array_equal(labels, expected)
 
 
 ECHO_SCRIPT = """

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from maire.cli import main
+from maire.cli import build_parser, main
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -98,6 +98,17 @@ class TestExplainCommand:
                    "--query-row", str(row), "--iters", "400", "--precision", "0.9",
                    "--out-dir", str(tmp_path / "o3"))
         assert code == 0
+
+    @pytest.mark.parametrize("query", ["5", "{\"x0\": 0.5}", "[0.5]", "[0.5, [0.5]]",
+                                       "[0.5, \"a\"]", "[0.5"])
+    def test_malformed_query_json_exits_1(self, tmp_path, tabular, capsys, query):
+        data, schema, _, plain = tabular
+        out = tmp_path / "o"
+        code = run("explain", "--data", plain, "--schema", schema, "--oracle", "rect",
+                   "--query-json", query, "--iters", "5", "--out-dir", str(out))
+        assert code == 1
+        assert "--query-json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exactly_one_label_source_required(self, tmp_path, tabular, capsys):
         data, schema, row, plain = tabular
@@ -209,8 +220,18 @@ class TestSynthCommand:
         assert strips[0]["lo"] == strips[0]["hi"] == pytest.approx(1 / 6)
 
     def test_unknown_shape_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            run("synth", "pentagon")
+        assert run("synth", "pentagon") == 1
+
+    @pytest.mark.parametrize("query", ["[0.5]", "[0.5, 0.5, 0.5]", "5", "{\"x\": 1}",
+                                       "[0.5, \"a\"]", "[0.5, true]", "[0.5, NaN]",
+                                       "[0.5, 1.5]", "[0.5, -0.1]", "[0.5,"])
+    def test_malformed_query_json_exits_1(self, tmp_path, capsys, query):
+        out = tmp_path / "o"
+        code = run("synth", "rect", "--query-json", query, "--iters", "5",
+                   "--out-dir", str(out))
+        assert code == 1
+        assert "--query-json" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSvgOutput:
@@ -274,6 +295,15 @@ class TestBoundsAuditCommand:
         assert 0.0 <= report["mse_coverage"] <= 1.0
         assert report["audit"]["coverage_envelope"]["checked"] == 5
 
+    @pytest.mark.parametrize("queries", ["0", "-2"])
+    def test_queries_below_one_exit_1(self, tmp_path, tabular, capsys, queries):
+        data, schema, _, _ = tabular
+        code = run("bounds-audit", "--data", data, "--schema", schema, "--label-column", "y",
+                   "--queries", queries, "--out-dir", str(tmp_path / "audit"))
+        assert code == 1
+        assert "--queries" in capsys.readouterr().err
+        assert not (tmp_path / "audit").exists()
+
     def test_empty_dataset_fails(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("x0,y\n")
@@ -304,6 +334,15 @@ class TestGlobalCommand:
         coverages = [float(line.split(",")[1]) for line in lines[1:]]
         assert coverages == sorted(coverages)
 
+    @pytest.mark.parametrize("anchors", ["0", "-3"])
+    def test_anchors_below_one_exit_1(self, tmp_path, tabular, capsys, anchors):
+        data, schema, _, _ = tabular
+        code = run("global", "--data", data, "--schema", schema, "--label-column", "y",
+                   "--anchors", anchors, "--out-dir", str(tmp_path / "global"))
+        assert code == 1
+        assert "--anchors" in capsys.readouterr().err
+        assert not (tmp_path / "global").exists()
+
     def test_threads_flag_is_ignored(self, tmp_path, tabular, caplog):
         data, schema, _, _ = tabular
         outputs = []
@@ -318,3 +357,52 @@ class TestGlobalCommand:
             assert len(warnings) == (0 if threads == "1" else 1)
             outputs.append((out / "global.json").read_text())
         assert outputs[0] == outputs[1]
+
+
+# the arguments each subcommand needs to parse at all
+REQUIRED = {"explain": ["--query-row", "0"], "synth": ["rect"], "bounds-audit": [], "global": []}
+RUN_FLAGS = [("--precision", "0.9"), ("--lambda1", "1"), ("--lambda2", "1"), ("--lr", "0.1"),
+             ("--iters", "5"), ("--out-dir", "o")]
+
+
+class TestFlags:
+    """Each subcommand registers exactly the flags it reads."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("explain", [("--max-attrs", "2"), ("--trace",), ("--no-containment-snap",)]),
+        ("synth", [("--max-attrs", "2"), ("--seed", "3"), ("--trace",)]),
+        ("bounds-audit", [("--seed", "3"), ("--threads", "2"), ("--no-containment-snap",),
+                          ("--queries", "4")]),
+        ("global", [("--max-attrs", "2"), ("--seed", "3"), ("--threads", "2"),
+                    ("--no-containment-snap",), ("--anchors", "4")]),
+    ])
+    def test_flags_read_are_accepted(self, command, flags):
+        argv = [command, *REQUIRED[command]]
+        for flag in [*RUN_FLAGS, *flags]:
+            argv += flag
+        args = build_parser().parse_args(argv)
+        assert args.command == command and args.iters == 5
+
+    @pytest.mark.parametrize("command, flag", [
+        ("explain", ["--seed", "3"]),
+        ("explain", ["--threads", "2"]),
+        ("synth", ["--threads", "2"]),
+        ("synth", ["--no-containment-snap"]),
+        ("bounds-audit", ["--max-attrs", "2"]),
+        ("bounds-audit", ["--trace"]),
+        ("global", ["--trace"]),
+    ])
+    def test_flags_not_read_exit_1(self, tmp_path, capsys, command, flag):
+        code = run(command, *REQUIRED[command], *flag, "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_help_exits_0(self, capsys):
+        assert run("--help") == 0
+        assert run("explain", "--help") == 0
+        assert "--query-json" in capsys.readouterr().out
+
+    def test_usage_error_exits_1(self, capsys):
+        assert run("explain", "--bogus") == 1
+        assert "error:" in capsys.readouterr().err

@@ -232,8 +232,8 @@ class TestExplainMany:
             assert lockstep.trace.best_iteration == one.trace.best_iteration
             assert lockstep.trace.converged == one.trace.converged
             assert lockstep.trace.feasible == one.trace.feasible
-            np.testing.assert_allclose([r.objective for r in lockstep.trace.records],
-                                       [r.objective for r in one.trace.records], rtol=1e-12)
+            np.testing.assert_allclose(lockstep.trace.values[:, 0], one.trace.values[:, 0],
+                                       rtol=1e-12)  # objectives
 
     def test_no_queries(self):
         space, labels = mixed_space(np.random.default_rng(12), 40)

@@ -103,12 +103,10 @@ class TestGamma:
 class TestConstants:
     def test_defaults_match_structural_identities(self):
         k = DEFAULTS
-        assert k.c4 == k.c5 == 0.5
         assert k.c3 == pytest.approx(1.0 - k.c1)
 
     @pytest.mark.parametrize("bad", [
-        dict(c1=0.0), dict(c1=1.0), dict(c2=-1.0), dict(c3=0.5),
-        dict(c4=0.4), dict(cl=0.0), dict(ch=1.5),
+        dict(c1=0.0), dict(c1=1.0), dict(c2=-1.0), dict(cl=0.0), dict(ch=1.5),
     ])
     def test_invalid_constants_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -156,7 +154,7 @@ class TestMembership:
         assert h1 == pytest.approx(h2, abs=1e-14)
 
     @pytest.mark.parametrize("k,dim", [
-        (ApproxConstants.with_c1(0.4, ch=0.78), 1),
+        (ApproxConstants(c1=0.4, ch=0.78), 1),
         (ApproxConstants.for_dimension(3), 3),
     ])
     def test_tracking_bounds_in_scaled_regime(self, k, dim):

@@ -17,7 +17,10 @@ from maire import (
     pre_hat,
 )
 from maire.indicator import pre_exact_or_none
+from maire.optimize import TRACE_COLUMNS
 from maire.synthetic import synthetic_dataset
+
+OBJECTIVE = TRACE_COLUMNS.index("objective")
 
 K = ApproxConstants()
 
@@ -159,7 +162,7 @@ class TestOptimize:
         cfg = OptimizerConfig(precision_threshold=0.6, max_iters=120)
         box, trace = optimize(initial_bounds(q), q, X, labels, 1, cfg)
         assert box.l.min() >= 0.0 and box.u.max() <= 1.0
-        assert all(np.isfinite(r.objective) for r in trace.records)
+        assert np.isfinite(trace.values[:, OBJECTIVE]).all()
 
     def test_deterministic_traces(self):
         rng = np.random.default_rng(5)
@@ -170,7 +173,7 @@ class TestOptimize:
         box1, t1 = optimize(initial_bounds(q), q, X, labels, 1, cfg)
         box2, t2 = optimize(initial_bounds(q), q, X, labels, 1, cfg)
         np.testing.assert_array_equal(box1.l, box2.l)
-        assert [r.objective for r in t1.records] == [r.objective for r in t2.records]
+        np.testing.assert_array_equal(t1.values[:, OBJECTIVE], t2.values[:, OBJECTIVE])
 
     def test_best_so_far_objective_nondecreasing(self):
         rng = np.random.default_rng(6)
@@ -180,9 +183,9 @@ class TestOptimize:
         cfg = OptimizerConfig(precision_threshold=0.9, max_iters=300)
         _, trace = optimize(initial_bounds(q), q, X, labels, 1, cfg)
         best = -np.inf
-        for r in trace.records:
-            best = max(best, r.objective)
-            assert r.objective <= best
+        for objective_t in trace.values[:, OBJECTIVE]:
+            best = max(best, objective_t)
+            assert objective_t <= best
 
     def test_returned_box_contains_query(self):
         rng = np.random.default_rng(7)
@@ -215,12 +218,13 @@ class TestOptimize:
         cfg = OptimizerConfig(precision_threshold=0.5, max_iters=1500, learning_rate=0.004,
                               convergence_window=window, convergence_tol=1e-9)
         _, trace = optimize(initial_bounds(q), q, X, labels, 1, cfg)
-        objectives = [r.objective for r in trace.records]
+        objectives = trace.values[:, OBJECTIVE].tolist()
         calm = [t for t in range(window, len(objectives) + 1)
                 if max(objectives[t - window:t]) - min(objectives[t - window:t]) < 1e-9]
         assert trace.converged
         assert calm[0] == len(trace) < cfg.max_iters
-        assert [r.iteration for r in trace.records] == list(range(1, len(trace) + 1))
+        assert [json.loads(line)["iteration"] for line in trace.jsonl_lines()] \
+            == list(range(1, len(trace) + 1))
         assert trace.best_iteration <= len(trace)
 
     def test_rectangle_recovery_quick(self):
@@ -256,6 +260,21 @@ class TestOptimize:
         assert {"iteration", "objective", "cov_hat", "pre_hat", "cov", "pre", "violation"} \
             <= set(records[0])
 
+    def test_empty_box_precision_is_nan_and_null(self):
+        # no data near the query: the first iterates admit no point
+        rng = np.random.default_rng(9)
+        X = rng.random((400, 2))
+        X = X[~((X > 0.35) & (X < 0.65)).all(axis=1)]
+        labels = (X[:, 0] < 0.5).astype(int)
+        q = np.array([0.5, 0.5])
+        _, trace = optimize(initial_bounds(q), q, X, labels, 1, OptimizerConfig(max_iters=60))
+        cov, pre = (trace.values[:, TRACE_COLUMNS.index(c)] for c in ("cov", "pre"))
+        assert cov[0] == 0.0 and np.isnan(pre[0])
+        np.testing.assert_array_equal(np.isnan(pre), cov == 0.0)
+        records = [json.loads(line) for line in trace.jsonl_lines()]
+        assert records[0]["pre"] is None
+        assert [r["pre"] is None for r in records] == (cov == 0.0).tolist()
+
 
 class TestConfig:
     @pytest.mark.parametrize("bad", [
@@ -269,11 +288,6 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         dict(lambda1=-3.0),
         dict(lambda2=-0.1),
-        dict(adam_beta1=2.0),
-        dict(adam_beta1=-0.1),
-        dict(adam_beta2=1.0),
-        dict(adam_eps=0.0),
-        dict(adam_eps=-1.0),
         dict(convergence_tol=-1e-9),
         dict(convergence_window=0),
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
@@ -282,5 +296,4 @@ class TestConfig:
             OptimizerConfig(**bad)
 
     def test_boundary_settings_accepted(self):
-        OptimizerConfig(lambda1=0.0, lambda2=0.0, adam_beta1=0.0, adam_beta2=0.0,
-                        convergence_tol=0.0, convergence_window=1)
+        OptimizerConfig(lambda1=0.0, lambda2=0.0, convergence_tol=0.0, convergence_window=1)
