@@ -106,7 +106,11 @@ class TestConstants:
         assert k.c3 == pytest.approx(1.0 - k.c1)
 
     @pytest.mark.parametrize("bad", [
-        dict(c1=0.0), dict(c1=1.0), dict(c2=-1.0), dict(cl=0.0), dict(ch=1.5),
+        pytest.param(dict(c1=0.0), id="bad0"),
+        pytest.param(dict(c1=1.0), id="bad1"),
+        pytest.param(dict(c2=-1.0), id="bad2"),
+        pytest.param(dict(cl=0.0), id="bad5"),
+        pytest.param(dict(ch=1.5), id="bad6"),
     ])
     def test_invalid_constants_rejected(self, bad):
         with pytest.raises(ValueError):
