@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
     UndefinedPrecisionError,
 )
-from .explain import Explanation, explain, explain_encoded, explain_many, greedy_eliminate, render
+from .explain import Explanation, explain, explain_encoded, explain_many, render
 from .global_explain import GlobalExplanation, global_predict, msd_select, rp_select
 from .indicator import (
     ApproxConstants,
@@ -86,7 +86,6 @@ __all__ = [
     "gamma",
     "global_predict",
     "gradient",
-    "greedy_eliminate",
     "initial_bounds",
     "inside_mask",
     "load_schema",

@@ -62,11 +62,11 @@ def _positive_int(text: str) -> int:
 # the run flags; each subcommand registers the ones it reads
 _RUN_FLAGS = {
     "--precision": dict(type=float, default=0.95, help="precision threshold P"),
-    "--max-attrs": dict(type=int, default=None, help="max clauses K"),
+    "--max-attrs": dict(type=_positive_int, default=None, help="max clauses K"),
     "--lambda1": dict(type=float, default=5.0),
     "--lambda2": dict(type=float, default=5.0),
     "--lr": dict(type=float, default=0.01),
-    "--iters": dict(type=int, default=2500),
+    "--iters": dict(type=_positive_int, default=2500),
     "--seed": dict(type=int, default=0,
                    help="seed of the synthetic data and of the query and anchor draws"),
     "--threads": dict(type=int, default=1,
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="run a synthetic shape and plot it")
     p_synth.add_argument("shape", choices=sorted(SHAPES))
-    p_synth.add_argument("--n-samples", type=int, default=3000)
+    p_synth.add_argument("--n-samples", type=_positive_int, default=3000)
     p_synth.add_argument("--query-json", help="query point as a JSON array (encoded units)")
     _add_run_flags(p_synth, "--max-attrs", "--seed", "--trace")
 
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_global, "--max-attrs", "--seed", "--threads", "--no-containment-snap")
     p_global.add_argument("--anchors", type=_positive_int, default=200,
                           help="number of randomly chosen anchor rows")
-    p_global.add_argument("--budget", type=int, default=None,
+    p_global.add_argument("--budget", type=_positive_int, default=None,
                           help="max explanations in the global set")
     return parser
 

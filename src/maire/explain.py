@@ -69,15 +69,6 @@ def render(expl: Explanation) -> tuple[str, str]:
     return expl.rule_text(), json.dumps(expl.to_record(), sort_keys=True, allow_nan=False)
 
 
-def _axis_masks(l: np.ndarray, u: np.ndarray, X: np.ndarray, space: EncodedSpace) -> np.ndarray:
-    """Per-attribute membership masks, shape (n_attrs, N)."""
-    per_col = (X >= l) & (X <= u)
-    masks = np.empty((len(space.attributes), X.shape[0]), dtype=bool)
-    for i in range(len(space.attributes)):
-        masks[i] = per_col[:, space.columns_of(i)].all(axis=1)
-    return masks
-
-
 def _eliminate(
     l: np.ndarray,
     u: np.ndarray,
@@ -93,65 +84,52 @@ def _eliminate(
     removed per step: the coverage-maximizing removal among those keeping
     precision >= threshold, else the one losing the least precision. Once
     at or under the cap, removals continue only while some removal strictly
-    increases coverage at precision >= threshold. Each candidate costs O(N)
-    thanks to per-attribute violation counts.
+    increases coverage at precision >= threshold. Each step counts every
+    candidate at once: after widening attribute a, a row lies inside exactly
+    when a is the only attribute it violates.
     """
     l = l.copy()
     u = u.copy()
-    n = X.shape[0]
-    masks = _axis_masks(l, u, X, space)
-    violations = (~masks).sum(axis=0)  # per point: number of violated attributes
-    active = set(nontrivial_attributes(l, u, space))
+    n, c = X.shape
+    member = np.zeros((c, len(space.attributes)))
+    member[np.arange(c), [info.attr_index for info in space.column_map]] = 1.0
+    out = (((X < l) | (X > u)) @ member).T > 0  # (attrs, N): row outside on attribute
+    violations = out.sum(axis=0)  # per row: number of violated attributes
+    active = np.asarray(nontrivial_attributes(l, u, space), dtype=np.intp)
     order: list[str] = []
     coverage_path: list[float] = []
 
-    def stats_without(attr: int) -> tuple[float, float | None]:
-        inside = (violations - (~masks[attr])) == 0
-        n_in = int(inside.sum())
-        cov = n_in / n
-        pre = float((inside & match).sum() / n_in) if n_in else None
-        return cov, pre
+    def measure(inside):
+        """Coverage, precision (0 where empty) and non-emptiness of (..., N)
+        row masks."""
+        n_in = inside.sum(axis=-1)
+        pre = np.where(n_in > 0, (inside & match).sum(axis=-1) / np.maximum(n_in, 1), 0.0)
+        return n_in / n, pre, n_in > 0
 
-    while active:
-        forced = len(active) > max_attrs
-        inside_now = violations == 0
-        n_in_now = int(inside_now.sum())
-        cov_now = n_in_now / n
-        pre_now = float((inside_now & match).sum() / n_in_now) if n_in_now else None
-
-        candidates = []
-        for attr in sorted(active):
-            cov, pre = stats_without(attr)
-            pre_loss = (pre_now or 0.0) - (pre or 0.0)
-            keeps = pre is not None and pre >= threshold
-            candidates.append((attr, cov, pre, pre_loss, keeps))
-
-        keepers = [c for c in candidates if c[4]]
-        chosen = None
-        if forced:
-            pool = keepers if keepers else candidates
-            if keepers:
-                # max coverage gain; ties by smaller precision loss, then index
-                chosen = min(pool, key=lambda c: (-c[1], c[3], c[0]))
-            else:
-                # no removal preserves precision: lose the least of it
-                chosen = min(pool, key=lambda c: (c[3], -c[1], c[0]))
+    while active.size:
+        forced = active.size > max_attrs
+        cov_now, pre_now, _ = measure(violations == 0)
+        cov, pre, nonempty = measure(violations == out[active])
+        loss = pre_now - pre
+        keeps = nonempty & (pre >= threshold)
+        if forced and not keeps.any():
+            # no removal preserves precision: lose the least of it
+            pick = np.lexsort((active, -cov, loss))[0]
         else:
-            improving = [c for c in keepers if c[1] > cov_now]
-            if improving:
-                chosen = min(improving, key=lambda c: (-c[1], c[3], c[0]))
-        if chosen is None:
-            break
+            # max coverage gain; ties by smaller precision loss, then index
+            pool = keeps if forced else keeps & (cov > cov_now)
+            if not pool.any():
+                break
+            pick = np.lexsort((active, loss, -cov, ~pool))[0]
 
-        attr = chosen[0]
+        attr = active[pick]
         cols = space.columns_of(attr)
         l[cols] = 0.0
         u[cols] = 1.0
-        violations = violations - (~masks[attr])
-        masks[attr] = True
-        active.remove(attr)
+        violations -= out[attr]
+        active = np.delete(active, pick)
         order.append(space.attributes[attr].name)
-        coverage_path.append(chosen[1])
+        coverage_path.append(float(cov[pick]))
 
     return l, u, order, coverage_path
 
@@ -185,24 +163,6 @@ def _explanation(
         elimination_order=elimination_order,
         trace=trace,
     )
-
-
-def greedy_eliminate(
-    expl: Explanation,
-    space: EncodedSpace,
-    data: np.ndarray,
-    labels: np.ndarray,
-    threshold: float,
-    max_attrs: int,
-) -> Explanation:
-    """Shorten an explanation to at most ``max_attrs`` clauses."""
-    X = np.asarray(data, dtype=np.float64)
-    match = np.asarray(labels) == expl.query_label
-    l, u, order, _ = _eliminate(expl.bounds.l, expl.bounds.u, space, X, match,
-                                threshold, max_attrs)
-    return _explanation(l, u, space, X, labels, expl.query_label, threshold,
-                        expl.query_encoded, expl.query_raw, expl.elimination_order + order,
-                        expl.trace)
 
 
 def _attr_cap(max_attrs: int | None, space: EncodedSpace) -> int:

@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .indicator import ApproxConstants, BoxBounds, BoxPass, BoxStats
 
@@ -33,11 +32,12 @@ class OptimizerConfig:
     max_iters: int = 2500
     lambda1: float = 5.0   # weight of the gated soft-precision term
     lambda2: float = 5.0   # weight of the query-containment hinge penalty
-    convergence_tol: float = 1e-6
-    convergence_window: int = 50
     containment_snap: bool = True
 
     def __post_init__(self):
+        for name in ("learning_rate", "lambda1", "lambda2"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.precision_threshold <= 1.0:
@@ -46,10 +46,6 @@ class OptimizerConfig:
             raise ValueError("max_iters must be >= 1")
         if self.lambda1 < 0.0 or self.lambda2 < 0.0:
             raise ValueError("lambda1 and lambda2 must be >= 0")
-        if self.convergence_tol < 0.0:
-            raise ValueError("convergence_tol must be >= 0")
-        if self.convergence_window < 1:
-            raise ValueError("convergence_window must be >= 1")
 
 
 # the columns of OptimizationTrace.values
@@ -62,9 +58,12 @@ class OptimizationTrace:
     ``TRACE_COLUMNS``, with ``pre`` NaN where the box was empty."""
 
     values: np.ndarray
-    converged: bool
     best_iteration: int
     feasible: bool
+    # every ascent runs max_iters iterations, so none stops early. Kept only
+    # because bench/tracing.py::_optimized reads it; delete it once the bench
+    # stops reading it (ROADMAP item 1, bench half)
+    converged = False
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -76,7 +75,7 @@ class OptimizationTrace:
             if d["pre"] != d["pre"]:
                 d["pre"] = None
             if i == last:
-                d["status"] = "converged" if self.converged else "iteration_capped"
+                d["status"] = "iteration_capped"
             yield json.dumps(d, allow_nan=False)
 
     def write_jsonl(self, path: str) -> None:
@@ -90,9 +89,8 @@ class OptimizationTrace:
 # gains no speed, since a numpy call's fixed cost is already small against
 # its work, but it keeps adding resident memory.
 BLOCK_BYTES = 2 << 20
-# Iterations stepped between the checks that stop converged boxes and rank
-# iterates. A box that converges inside a stretch still stops at its own
-# iteration: the steps it took after it are discarded.
+# Iterations stepped between the passes that work out objectives and trace
+# values and rank iterates.
 STRETCH = 32
 
 
@@ -257,44 +255,34 @@ def _ascend(
     match: np.ndarray,
     cfg: OptimizerConfig,
 ) -> list[tuple[BoxBounds, OptimizationTrace]]:
-    """Adam ascent of A boxes in lockstep, each with its own best iterate and
-    convergence window.
+    """Adam ascent of A boxes in lockstep for ``cfg.max_iters`` iterations,
+    each with its own best iterate.
 
-    Per-box state is held in (A, .) arrays over the boxes still stepping.
-    Each iteration takes one kernel pass and the gradient; everything else
-    (objective, trace values, convergence windows, snapped recounts and the
-    ranking of iterates) is worked out once per stretch of ``STRETCH``
-    iterations, over all of them at once.
+    Per-box state is held in (A, .) arrays. Each iteration takes one kernel
+    pass and the gradient; everything else (objective, trace values, snapped
+    recounts and the ranking of iterates) is worked out once per stretch of
+    ``STRETCH`` iterations, over all of them at once.
     """
     a, d, n = len(initial), stats.d, stats.n
-    w = cfg.convergence_window
     lu = np.stack([np.concatenate([b.l, b.u]) for b in initial])
     qq = np.concatenate([queries, queries], axis=1)
-    live = np.arange(a)
     m = np.zeros((a, 2 * d))
     v = np.zeros((a, 2 * d))
-    recent = np.empty((0, a))  # objectives of the last w - 1 iterations
-    # best iterate so far of each live box. Iterates rank feasible first, then
-    # by exact coverage: as one number, coverage plus 2 if feasible
-    # (coverages are multiples of 1/N, so adding 2 never merges two of them)
+    # best iterate so far of each box. Iterates rank feasible first, then by
+    # exact coverage: as one number, coverage plus 2 if feasible (coverages
+    # are multiples of 1/N, so adding 2 never merges two of them)
     best_lu = lu.copy()
     best_key = np.full(a, -1.0)  # below every key: iteration 0 always wins
     best_iteration = np.zeros(a, dtype=np.intp)
-    # final state per box, written as boxes leave the live set
-    out_lu = np.empty_like(lu)
-    out_key = np.empty(a)
-    out_iteration = np.empty(a, dtype=np.intp)
-    stops = np.full(a, cfg.max_iters)
-    converged = np.zeros(a, dtype=bool)
-    logged = []  # (box ids, trace values) per stretch, iteration-major
+    logged = []  # (C, A, 6) trace values per stretch
 
-    def rank(LU, outside, cov, pre, violation, first, valid):
+    def rank(LU, outside, cov, pre, violation, first):
         """Fold iterations first, first + 1, ... into the best iterates. Rows
         are iterations: (C, A, 2D) bounds and which of them lie past the
-        query, (C, A) per-box values, ``valid`` where a box had not stopped."""
+        query, (C, A) per-box values."""
         if cfg.containment_snap:
             # the snap moves onto the query the bounds that lie past it
-            snap = (violation > 0.0) & valid
+            snap = violation > 0.0
             if snap.any():
                 cov, pre = cov.copy(), pre.copy()
                 for j in np.flatnonzero(snap.any(axis=1)):
@@ -303,9 +291,9 @@ def _ascend(
                     n_in, n_match = stats.exact(snapped[:, :d], snapped[:, d:], match[s])
                     cov[j, s] = n_in / n
                     pre[j, s] = _precision(n_match, n_in)
-        key = np.where(valid, cov + 2.0 * (pre >= cfg.precision_threshold), -np.inf)
+        key = cov + 2.0 * (pre >= cfg.precision_threshold)
         row = np.argmax(key, axis=0)  # the first row holding each box's top key
-        boxes = np.arange(key.shape[1])
+        boxes = np.arange(a)
         top = key[row, boxes]
         better = top > best_key
         won = row[better], boxes[better]
@@ -314,27 +302,17 @@ def _ascend(
         best_key[better] = top[better]
         best_iteration[better] = first + row[better]
 
-    def retire(boxes):
-        out_lu[live[boxes]] = best_lu[boxes]
-        out_key[live[boxes]] = best_key[boxes]
-        out_iteration[live[boxes]] = best_iteration[boxes]
-
     p = stats.evaluate(lu[:, :d], lu[:, d:], match)
     grad = _gradient(p, _past(lu, qq), cfg, n)
     outside, violation = _containment(lu, qq)
     _, _, _, cov, pre, _ = _terms(p.h_sum, p.match_sum, p.n_in, p.n_match, violation, cfg, n)
     if np.isnan(pre).any():
         log.debug("initial box empty: precision gate forced active")
-    rank(lu[None], outside[None], cov[None], pre[None], violation[None], 0,
-         np.ones((1, a), bool))
+    rank(lu[None], outside[None], cov[None], pre[None], violation[None], 0)
 
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    it = 0
     LU = np.empty((min(STRETCH, cfg.max_iters), a, 2 * d))  # the stretch's iterates
-    while live.size and it < cfg.max_iters:
-        first = it + 1
-        if LU.shape[1] != live.size:
-            LU = np.empty((LU.shape[0], live.size, 2 * d))
+    for first in range(1, cfg.max_iters + 1, STRETCH):
         sums = []
         for j, it in enumerate(range(first, min(first + STRETCH, cfg.max_iters + 1))):
             m = b1 * m + (1.0 - b1) * grad
@@ -358,45 +336,10 @@ def _ascend(
         rows = len(sums)
         outside, violation = _containment(LU[:rows], qq)
         terms = _terms(*(np.array(x) for x in zip(*sums)), violation, cfg, n)
-        objective, _, _, cov, pre, _ = terms
+        rank(LU[:rows], outside, terms[3], terms[4], violation, first)
+        logged.append(np.stack(terms, axis=2))
 
-        # a box converges at the first iteration whose window of the last w
-        # objectives spans less than convergence_tol
-        hist = np.concatenate([recent, objective])
-        valid = np.ones(objective.shape, dtype=bool)
-        done = np.zeros(live.size, dtype=bool)
-        if hist.shape[0] >= w:
-            # windows[i, :, k] = hist[i + k]: the window of w rows ending at i + w - 1
-            windows = as_strided(hist, (hist.shape[0] - w + 1, hist.shape[1], w),
-                                 (hist.strides[0], hist.strides[1], hist.strides[0]),
-                                 writeable=False)
-            fired = np.maximum.reduce(windows, axis=2) - np.minimum.reduce(windows, axis=2) \
-                < cfg.convergence_tol
-            done = fired.any(axis=0)
-            if done.any():
-                stop = np.argmax(fired, axis=0) + w - 1 - recent.shape[0]  # stretch row
-                valid = np.arange(rows)[:, None] <= np.where(done, stop, rows)
-                stops[live[done]] = first + stop[done]
-                converged[live[done]] = True
-        rank(LU[:rows], outside, cov, pre, violation, first, valid)
-        logged.append((np.broadcast_to(live, valid.shape)[valid],
-                       np.stack(terms, axis=2)[valid]))
-        recent = hist[max(0, hist.shape[0] - (w - 1)):]
-
-        if done.any():
-            retire(done)
-            keep = ~done
-            live, lu, m, v, grad, qq, match, best_lu, best_key, best_iteration = (
-                x[keep] for x in (live, lu, m, v, grad, qq, match, best_lu, best_key,
-                                  best_iteration))
-            recent = recent[:, keep]
-    retire(np.ones(live.size, dtype=bool))
-
-    # trace values, regrouped from iteration-major stretches into per-box rows
-    ids, values = (np.concatenate(c) for c in zip(*logged))
-    values = values[np.argsort(ids, kind="stable")]
-    ends = np.cumsum(stops)
-    return [(BoxBounds(out_lu[i, :d], out_lu[i, d:]),
-             OptimizationTrace(values[ends[i] - stops[i]:ends[i]], bool(converged[i]),
-                               int(out_iteration[i]), bool(out_key[i] >= 2.0)))
+    values = np.concatenate(logged)  # (T, A, 6): box i's trace is values[:, i]
+    return [(BoxBounds(best_lu[i, :d], best_lu[i, d:]),
+             OptimizationTrace(values[:, i], int(best_iteration[i]), bool(best_key[i] >= 2.0)))
             for i in range(a)]

@@ -398,6 +398,26 @@ class TestFlags:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("synth", "--n-samples"), ("synth", "--iters"), ("synth", "--max-attrs"),
+        ("global", "--budget"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_counts_below_one_exit_1(self, tmp_path, capsys, command, flag, value):
+        code = run(command, *REQUIRED[command], flag, value, "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", [["--lr", "nan"], ["--lr", "inf"], ["--lambda1", "nan"],
+                                      ["--lambda2", "inf"]])
+    def test_non_finite_settings_exit_1(self, tmp_path, capsys, flag):
+        code = run("synth", "rect", "--n-samples", "200", *flag,
+                   "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_help_exits_0(self, capsys):
         assert run("--help") == 0
         assert run("explain", "--help") == 0

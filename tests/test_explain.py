@@ -13,12 +13,11 @@ from maire import (
     StoredColumnProvider,
     cov_exact,
     explain,
-    greedy_eliminate,
     render,
 )
 from maire.explain import Explanation, _eliminate, explain_encoded, explain_many
 from maire.indicator import BoxStats, inside_mask, pre_exact_or_none
-from maire.schema import RawTable, decode_bounds, encode, nontrivial_attributes
+from maire.schema import RawTable, encode, nontrivial_attributes
 from maire.synthetic import synthetic_dataset
 
 # the package exports a function of the same name
@@ -46,6 +45,23 @@ class TestGreedyElimination:
         pre = pre_exact_or_none(BoxBounds(new_l, new_u), X, labels, 1)
         assert pre == 1.0
         assert new_l[1] == 0.0 and new_u[1] == 1.0
+
+    def test_equal_coverage_ties_go_to_smaller_loss_then_lower_index(self):
+        # box [0.3, 0.7]^3 holds four rows of label 1; each pair of rows lies
+        # outside on one attribute only, so every removal admits two rows
+        attrs = [AttributeSchema(name=f"x{j}", kind="continuous", value_range=(0.0, 1.0))
+                 for j in range(3)]
+        cols = np.full((3, 10), 0.5)
+        for j in range(3):
+            cols[j, 4 + 2 * j:6 + 2 * j] = 0.9
+        space = encode(RawTable(attrs, list(cols)))
+        labels = np.array([1, 1, 1, 1, 1, 0, 1, 1, 1, 1])  # x0's pair costs precision
+        l, u = np.full(3, 0.3), np.full(3, 0.7)
+        _, _, order, path = _eliminate(l, u, space, space.matrix, labels == 1, 0.8, 2)
+        # forced: x0, x1 and x2 tie on coverage; x0 loses precision, x1 has the
+        # lower index. Then x0 and x2 tie; x2 keeps precision 1
+        assert order == ["x1", "x2", "x0"]
+        assert path == [0.6, 0.8, 1.0]
 
     def test_full_range_attribute_never_selected(self):
         rng = np.random.default_rng(1)
@@ -101,26 +117,6 @@ class TestGreedyElimination:
         if "c" in order:
             np.testing.assert_array_equal(new_l[1:], [0, 0, 0])
             np.testing.assert_array_equal(new_u[1:], [1, 1, 1])
-
-    def test_public_wrapper_rebuilds_explanation(self):
-        rng = np.random.default_rng(5)
-        space = continuous_space(rng, 300, 3)
-        X = space.matrix
-        labels = (X[:, 0] <= 0.6).astype(int)
-        bounds = BoxBounds(np.array([0.0, 0.1, 0.2]), np.array([0.6, 0.9, 0.8]))
-        expl = Explanation(
-            bounds=bounds,
-            clauses=decode_bounds(bounds.l, bounds.u, space),
-            coverage=cov_exact(bounds, X),
-            precision=pre_exact_or_none(bounds, X, labels, 1),
-            query_label=1,
-            feasible=True,
-            query_encoded=np.array([0.3, 0.5, 0.5]),
-        )
-        out = greedy_eliminate(expl, space, X, labels, 0.9, 1)
-        assert len(out.clauses) <= 1
-        assert out.coverage >= expl.coverage
-        assert out.elimination_order
 
 
 class TestExplainPipeline:
@@ -203,14 +199,11 @@ class TestExplainMany:
     def test_equals_one_query_at_a_time(self, monkeypatch, snap):
         space, labels = mixed_space(np.random.default_rng(11), 150)
         rows = list(range(0, 150, 6))
-        # a short window with a wide tolerance stops some anchors early
-        cfg = OptimizerConfig(precision_threshold=0.9, max_iters=200, convergence_window=10,
-                              convergence_tol=2e-3, containment_snap=snap)
+        # 200 = 6 * 32 + 8 iterations: the last stretch is partial
+        cfg = OptimizerConfig(precision_threshold=0.9, max_iters=200, containment_snap=snap)
+        assert cfg.max_iters % optimize_module.STRETCH
         alone = [explain_encoded(space.matrix[r], space, labels, labels[r], cfg, max_attrs=2)
                  for r in rows]
-        stops = [len(e.trace) for e in alone]
-        assert min(stops) < cfg.max_iters and max(stops) == cfg.max_iters
-        assert len({s % optimize_module.STRETCH for s in stops}) > 1
 
         # blocks of four anchors: the 25 anchors take seven blocks
         box_bytes = optimize_module._box_bytes(BoxStats(space.matrix))
@@ -228,9 +221,8 @@ class TestExplainMany:
             np.testing.assert_allclose(lockstep.bounds.l, one.bounds.l, rtol=0, atol=1e-12)
             np.testing.assert_allclose(lockstep.bounds.u, one.bounds.u, rtol=0, atol=1e-12)
             assert (lockstep.coverage, lockstep.precision) == (one.coverage, one.precision)
-            assert len(lockstep.trace) == len(one.trace)
+            assert len(lockstep.trace) == len(one.trace) == cfg.max_iters
             assert lockstep.trace.best_iteration == one.trace.best_iteration
-            assert lockstep.trace.converged == one.trace.converged
             assert lockstep.trace.feasible == one.trace.feasible
             np.testing.assert_allclose(lockstep.trace.values[:, 0], one.trace.values[:, 0],
                                        rtol=1e-12)  # objectives

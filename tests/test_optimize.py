@@ -196,37 +196,6 @@ class TestOptimize:
         box, _ = optimize(initial_bounds(q), q, X, labels, 1, cfg)
         assert box.contains(q)
 
-    def test_convergence_flag_on_flat_objective(self):
-        # far-away data saturates every sigmoid: gradients vanish, objective flattens
-        X = np.full((30, 1), 0.95)
-        labels = np.ones(30, dtype=int)
-        q = np.array([0.1])
-        cfg = OptimizerConfig(precision_threshold=0.5, max_iters=2500,
-                              convergence_tol=1e-9, learning_rate=1e-6)
-        box, trace = optimize(initial_bounds(q), q, X, labels, 1, cfg)
-        assert trace.converged
-        assert len(trace) < 2500
-
-    @pytest.mark.parametrize("window", [1, 7, 64, 65, 100, 150])
-    def test_stops_at_first_calm_window(self, window):
-        # the box grows to the full square, after which the objective is flat
-        rng = np.random.default_rng(0)
-        X = rng.random((120, 2))
-        labels = np.ones(120, dtype=int)
-        labels[:3] = 0
-        q = np.array([0.5, 0.5])
-        cfg = OptimizerConfig(precision_threshold=0.5, max_iters=1500, learning_rate=0.004,
-                              convergence_window=window, convergence_tol=1e-9)
-        _, trace = optimize(initial_bounds(q), q, X, labels, 1, cfg)
-        objectives = trace.values[:, OBJECTIVE].tolist()
-        calm = [t for t in range(window, len(objectives) + 1)
-                if max(objectives[t - window:t]) - min(objectives[t - window:t]) < 1e-9]
-        assert trace.converged
-        assert calm[0] == len(trace) < cfg.max_iters
-        assert [json.loads(line)["iteration"] for line in trace.jsonl_lines()] \
-            == list(range(1, len(trace) + 1))
-        assert trace.best_iteration <= len(trace)
-
     def test_rectangle_recovery_quick(self):
         shape, space, labels = synthetic_dataset("rect", 2500, seed=3)
         q = np.array([0.5, 0.5])
@@ -254,9 +223,9 @@ class TestOptimize:
         path = tmp_path / "trace.jsonl"
         trace.write_jsonl(str(path))
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(trace)
+        assert len(lines) == len(trace) == cfg.max_iters
         records = [json.loads(line) for line in lines]
-        assert records[-1]["status"] in ("converged", "iteration_capped")
+        assert records[-1]["status"] == "iteration_capped"
         assert {"iteration", "objective", "cov_hat", "pre_hat", "cov", "pre", "violation"} \
             <= set(records[0])
 
@@ -288,12 +257,17 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         dict(lambda1=-3.0),
         dict(lambda2=-0.1),
-        dict(convergence_tol=-1e-9),
-        dict(convergence_window=0),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(lambda1=float("nan")),
+        dict(lambda1=float("inf")),
+        dict(lambda2=float("nan")),
+        dict(lambda2=float("inf")),
+        dict(lambda2=float("-inf")),
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_invalid_ascent_settings_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             OptimizerConfig(**bad)
 
     def test_boundary_settings_accepted(self):
-        OptimizerConfig(lambda1=0.0, lambda2=0.0, convergence_tol=0.0, convergence_window=1)
+        OptimizerConfig(lambda1=0.0, lambda2=0.0)
