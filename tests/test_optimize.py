@@ -213,6 +213,22 @@ class TestOptimize:
         box, _ = optimize(initial_bounds(q), q, space.matrix, labels, 1, cfg)
         assert box.contains(q)
 
+    def test_convergence_flag_on_flat_objective(self):
+        # far-away data saturates every sigmoid: gradients vanish, objective
+        # flattens, and the ascent still runs max_iters (100 = 3 stretches + 4)
+        X = np.full((30, 1), 0.95)
+        labels = np.ones(30, dtype=int)
+        q = np.array([0.1])
+        cfg = OptimizerConfig(precision_threshold=0.5, max_iters=100, learning_rate=1e-6)
+        box, trace = optimize(initial_bounds(q), q, X, labels, 1, cfg)
+        assert trace.converged is False
+        assert len(trace) == cfg.max_iters
+        assert np.ptp(trace.values[:, OBJECTIVE]) < 1e-9
+        records = [json.loads(line) for line in trace.jsonl_lines()]
+        assert [r["iteration"] for r in records] == list(range(1, cfg.max_iters + 1))
+        assert records[-1]["status"] == "iteration_capped"
+        assert trace.best_iteration <= cfg.max_iters
+
     def test_trace_jsonl_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
         X = rng.random((60, 1))
