@@ -20,9 +20,8 @@ from .errors import (
     MaireError,
     ProviderError,
     SchemaError,
-    UndefinedPrecisionError,
 )
-from .explain import Explanation, explain, explain_encoded, explain_many, render
+from .explain import Explanation, explain, explain_encoded, explain_many
 from .global_explain import GlobalExplanation, global_predict, msd_select, rp_select
 from .indicator import (
     ApproxConstants,
@@ -34,7 +33,7 @@ from .indicator import (
     gamma,
     inside_mask,
     membership_h,
-    pre_exact,
+    pre_exact_or_none,
     pre_hat,
 )
 from .optimize import OptimizationTrace, OptimizerConfig, gradient, initial_bounds, objective, optimize
@@ -74,7 +73,6 @@ __all__ = [
     "StoredColumnProvider",
     "SyntheticOracle",
     "SyntheticShape",
-    "UndefinedPrecisionError",
     "audit_bounds",
     "cov_exact",
     "cov_hat",
@@ -94,10 +92,9 @@ __all__ = [
     "msd_select",
     "objective",
     "optimize",
-    "pre_exact",
+    "pre_exact_or_none",
     "pre_hat",
     "predict_batch",
-    "render",
     "rp_select",
     "snap_discrete",
 ]

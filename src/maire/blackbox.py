@@ -144,6 +144,8 @@ class ExternalCommandProvider(PredictionProvider):
     """
 
     def __init__(self, command: str, timeout_s: float = 30.0, chunk_size: int = EXTERNAL_CHUNK_SIZE):
+        if not (np.isfinite(timeout_s) and timeout_s > 0.0):
+            raise ValueError(f"timeout_s must be a finite number above 0, got {timeout_s}")
         self.command = command
         self.timeout_s = timeout_s
         self.chunk_size = chunk_size

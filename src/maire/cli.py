@@ -27,7 +27,7 @@ from .blackbox import (
 from .errors import MaireError, SchemaError
 from .explain import Explanation, explain_encoded, explain_many
 from .global_explain import msd_select
-from .indicator import ApproxConstants, audit_bounds, cov_exact, cov_hat, pre_exact_or_none, pre_hat
+from .indicator import ApproxConstants, audit_bounds, soft_measures
 from .optimize import OptimizerConfig
 from .schema import encode, load_schema, load_table
 from .svg import render_figure
@@ -46,7 +46,18 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label-column", help="CSV column holding stored black-box labels")
     p.add_argument("--oracle", choices=sorted(SHAPES), help="built-in synthetic oracle")
     p.add_argument("--predictor-cmd", help="external predictor command (JSON line protocol)")
-    p.add_argument("--predictor-timeout-s", type=float, default=30.0)
+    p.add_argument("--predictor-timeout-s", type=_positive_float, default=30.0,
+                   help="seconds allowed for each predictor reply")
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -246,31 +257,24 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bounds_audit(args) -> int:
-    space, labels, provider, table = _load_tabular(args)
     constants = ApproxConstants(c1=args.c1, c2=args.c2, cl=args.cl, ch=args.ch)
+    space, labels, provider, table = _load_tabular(args)
     cfg = _anchors_config(args)
     rng = np.random.default_rng(args.seed)
-    n = space.matrix.shape[0]
+    n, d = space.matrix.shape
     picks = rng.choice(n, size=min(args.queries, n), replace=False)
 
-    cov_gaps, pre_gaps = [], []
-    audit = None
-    for expl in explain_many(space.matrix[picks], space, labels, labels[picks], cfg, k=constants):
-        query_label = expl.query_label
-        cov = cov_exact(expl.bounds, space.matrix)
-        ch_ = cov_hat(expl.bounds, space.matrix, constants)
-        cov_gaps.append((cov - ch_) ** 2)
-        pre = pre_exact_or_none(expl.bounds, space.matrix, labels, query_label)
-        if pre is not None:
-            ph = pre_hat(expl.bounds, space.matrix, labels, query_label, constants)
-            pre_gaps.append((pre - ph) ** 2)
-        audit = audit_bounds(expl.bounds, space.matrix, labels, query_label, constants, audit)
-
+    expls = explain_many(space.matrix[picks], space, labels, labels[picks], cfg, k=constants)
+    cov = np.array([e.coverage for e in expls])
+    pre = np.array([np.nan if e.precision is None else e.precision for e in expls])
+    cov_hat, pre_hat = soft_measures([e.bounds for e in expls], space.matrix, labels,
+                                     [e.query_label for e in expls], constants)
+    pre_gaps = ((pre - pre_hat) ** 2)[~np.isnan(pre)]
     report = {
         "queries": int(len(picks)),
-        "mse_coverage": float(np.mean(cov_gaps)),
-        "mse_precision": float(np.mean(pre_gaps)) if pre_gaps else None,
-        "audit": audit.to_dict(),
+        "mse_coverage": float(np.mean((cov - cov_hat) ** 2)),
+        "mse_precision": float(np.mean(pre_gaps)) if pre_gaps.size else None,
+        "audit": audit_bounds(cov, pre, cov_hat, pre_hat, d, constants).to_dict(),
     }
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -25,10 +25,6 @@ class ProviderError(MaireError):
         self.point_index = point_index
 
 
-class UndefinedPrecisionError(MaireError):
-    """Raised when precision is requested for a box containing no points."""
-
-
 class InconsistentExplanationError(MaireError):
     """Raised when bounds cannot be decoded into a meaningful rule.
 

@@ -1,4 +1,4 @@
-"""End-to-end local explanation: optimize, snap, simplify, render.
+"""End-to-end local explanation: optimize, snap, simplify, decode.
 
 An explanation is a box in encoded space plus the clauses it decodes to.
 Greedy elimination shortens the rule by widening one raw attribute at a
@@ -8,7 +8,6 @@ while keeping exact precision above the threshold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,11 +61,6 @@ class Explanation:
             "iterations": len(self.trace) if self.trace is not None else 0,
             "elimination_order": list(self.elimination_order),
         }
-
-
-def render(expl: Explanation) -> tuple[str, str]:
-    """Deterministic rule text and its JSON record."""
-    return expl.rule_text(), json.dumps(expl.to_record(), sort_keys=True, allow_nan=False)
 
 
 def _eliminate(

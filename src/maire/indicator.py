@@ -8,11 +8,9 @@ everywhere while staying within provable distance of the exact values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
-
-from .errors import UndefinedPrecisionError
 
 
 @dataclass(frozen=True)
@@ -34,8 +32,8 @@ class ApproxConstants:
     def __post_init__(self):
         if not 0.0 < self.c1 < 1.0:
             raise ValueError(f"c1 must lie in (0, 1), got {self.c1}")
-        if self.c2 <= 0.0:
-            raise ValueError(f"c2 must be positive, got {self.c2}")
+        if not (np.isfinite(self.c2) and self.c2 > 0.0):
+            raise ValueError(f"c2 must be finite and positive, got {self.c2}")
         if not 0.0 < self.cl < 0.5:
             raise ValueError(f"cl must be a small positive offset, got {self.cl}")
         if not 0.0 < self.ch < 1.0:
@@ -339,25 +337,15 @@ def cov_exact(b: BoxBounds, points: np.ndarray) -> float:
     return float(inside_mask(b, X).mean())
 
 
-def pre_exact(b: BoxBounds, points: np.ndarray, labels: np.ndarray, query_label: int) -> float:
-    """Fraction of in-box points whose label equals ``query_label``.
-
-    Raises UndefinedPrecisionError for an empty box; callers decide policy.
-    """
-    X = np.asarray(points, dtype=np.float64)
-    mask = inside_mask(b, X)
+def pre_exact_or_none(b: BoxBounds, points: np.ndarray, labels: np.ndarray,
+                      query_label: int) -> float | None:
+    """Fraction of in-box points whose label equals ``query_label``; None
+    for an empty box, where precision is undefined."""
+    mask = inside_mask(b, points)
     n_in = int(mask.sum())
     if n_in == 0:
-        raise UndefinedPrecisionError("no points inside the box")
-    match = np.asarray(labels) == query_label
-    return float((mask & match).sum() / n_in)
-
-
-def pre_exact_or_none(b: BoxBounds, points: np.ndarray, labels: np.ndarray, query_label: int) -> float | None:
-    try:
-        return pre_exact(b, points, labels, query_label)
-    except UndefinedPrecisionError:
         return None
+    return float((mask & (np.asarray(labels) == query_label)).sum() / n_in)
 
 
 def cov_hat(b: BoxBounds, points: np.ndarray, k: ApproxConstants = ApproxConstants()) -> float:
@@ -365,24 +353,31 @@ def cov_hat(b: BoxBounds, points: np.ndarray, k: ApproxConstants = ApproxConstan
     return float(membership_values(b, points, k).mean())
 
 
-def pre_hat(
-    b: BoxBounds,
-    points: np.ndarray,
-    labels: np.ndarray,
-    query_label: int,
-    k: ApproxConstants = ApproxConstants(),
-) -> float:
-    """Approximate precision: membership-weighted label agreement.
+def soft_measures(boxes: list[BoxBounds], points: np.ndarray, labels: np.ndarray,
+                  query_labels: list[int], k: ApproxConstants = ApproxConstants()) -> np.ndarray:
+    """Soft coverage (row 0) and soft precision (row 1) of each box, (2, A).
 
-    The weight on each point is its soft membership; agreement is label
-    equality with the query's label, which for binary labels coincides
-    with 1 - (f(x) - f(q))^2 and extends unchanged to multi-class.
+    Soft precision weighs each point's agreement with the box's query label
+    (for binary labels, 1 - (f(x) - f(q))^2) by its soft membership. One
+    kernel serves every box, one box at a time, so memory stays at one
+    box's worth of comparisons.
     """
-    h = membership_values(b, points, k)
-    match = (np.asarray(labels) == query_label).astype(np.float64)
-    # h > 0 mathematically; the floor only guards underflow at extreme c2
-    denom = max(float(h.sum()), 1e-300)
-    return float((h * match).sum() / denom)
+    stats = BoxStats(points, k)
+    labels = np.asarray(labels)
+    out = np.empty((2, len(boxes)))
+    for i, (b, query_label) in enumerate(zip(boxes, query_labels)):
+        h = stats.membership(b.l[None], b.u[None])[0]
+        match = (labels == query_label).astype(np.float64)
+        out[0, i] = h.mean()
+        # h > 0 mathematically; the floor only guards underflow at extreme c2
+        out[1, i] = (h * match).sum() / max(float(h.sum()), 1e-300)
+    return out
+
+
+def pre_hat(b: BoxBounds, points: np.ndarray, labels: np.ndarray, query_label: int,
+            k: ApproxConstants = ApproxConstants()) -> float:
+    """Approximate precision of one box (see ``soft_measures``)."""
+    return float(soft_measures([b], points, labels, [query_label], k)[1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +386,19 @@ def pre_hat(
 
 @dataclass
 class BoundCheck:
-    """Outcome of one inequality audit over a collection of (box, data) cases."""
+    """Outcome of one inequality audit over a collection of boxes."""
 
     hypothesis_met: bool
-    checked: int = 0
-    violations: int = 0
-    max_violation: float = 0.0
+    checked: int
+    violations: int
+    max_violation: float
 
-    def record(self, violation: float) -> None:
-        self.checked += 1
-        if violation > 0.0:
-            self.violations += 1
-            self.max_violation = max(self.max_violation, violation)
+
+def _check(hypothesis_met: bool, violation: np.ndarray) -> BoundCheck:
+    """Count the positive entries of ``violation``, one per checked box."""
+    over = violation[violation > 0.0]
+    return BoundCheck(hypothesis_met, int(violation.size), int(over.size),
+                      float(over.max(initial=0.0)))
 
 
 @dataclass
@@ -419,8 +415,8 @@ class BoundsAudit:
 
     dim: int
     constants: ApproxConstants
-    coverage_envelope: BoundCheck = field(default_factory=lambda: BoundCheck(False))
-    precision_cap: BoundCheck = field(default_factory=lambda: BoundCheck(False))
+    coverage_envelope: BoundCheck
+    precision_cap: BoundCheck
 
     def to_dict(self) -> dict:
         return {
@@ -435,40 +431,16 @@ def coverage_hypothesis_met(dim: int, k: ApproxConstants) -> bool:
     return k.c1 < 1.0 / (2.0 * dim) and k.ch > (4.0 * dim - 1.0) / (4.0 * dim)
 
 
-def audit_bounds(
-    b: BoxBounds,
-    points: np.ndarray,
-    labels: np.ndarray,
-    query_label: int,
-    k: ApproxConstants = ApproxConstants(),
-    report: BoundsAudit | None = None,
-) -> BoundsAudit:
-    """Check the coverage envelope and precision cap on one (box, data) case.
-
-    Pass ``report`` to accumulate across many cases into one audit.
-    """
-    X = np.asarray(points, dtype=np.float64)
-    d = X.shape[1]
-    if report is None:
-        hyp = coverage_hypothesis_met(d, k)
-        report = BoundsAudit(
-            dim=d,
-            constants=k,
-            coverage_envelope=BoundCheck(hyp),
-            precision_cap=BoundCheck(hyp),
-        )
-
-    cov = cov_exact(b, X)
-    ch = cov_hat(b, X, k)
-    scale = (4.0 * d - 1.0) / (4.0 * d)
+def audit_bounds(cov: np.ndarray, pre: np.ndarray, cov_hat: np.ndarray, pre_hat: np.ndarray,
+                 dim: int, k: ApproxConstants = ApproxConstants()) -> BoundsAudit:
+    """Check the coverage envelope and the precision cap on A boxes in ``dim``
+    dimensions, given each box's exact coverage and precision (``pre`` NaN
+    where the box is empty) and their soft counterparts, all (A,) arrays."""
+    scale = (4.0 * dim - 1.0) / (4.0 * dim)
     lower = scale * cov
-    upper = 1.0 / (4.0 * d) + scale * cov
-    report.coverage_envelope.record(max(lower - ch, ch - upper))
-
-    if cov > 0.0:
-        pre = pre_exact(b, X, labels, query_label)
-        ph = pre_hat(b, X, labels, query_label, k)
-        cap = pre * (1.0 + (1.0 / cov) * (4.0 * d / (4.0 * d - 1.0)))
-        report.precision_cap.record(ph - cap)
-
-    return report
+    upper = 1.0 / (4.0 * dim) + scale * cov
+    hyp = coverage_hypothesis_met(dim, k)
+    capped = cov > 0.0  # an empty box has no precision to cap
+    cap = pre[capped] * (1.0 + (1.0 / cov[capped]) * (4.0 * dim / (4.0 * dim - 1.0)))
+    return BoundsAudit(dim, k, _check(hyp, np.maximum(lower - cov_hat, cov_hat - upper)),
+                       _check(hyp, pre_hat[capped] - cap))

@@ -140,6 +140,11 @@ class TestExternalCommand:
                 provider.predict(np.zeros((2, 1)))
             assert info.value.point_index == 0
 
+    @pytest.mark.parametrize("timeout_s", [math.inf, math.nan, 0.0, -1.0])
+    def test_timeout_must_be_finite_and_positive(self, timeout_s):
+        with pytest.raises(ValueError, match="timeout_s must be a finite number above 0"):
+            ExternalCommandProvider(f"{sys.executable} -c 'pass'", timeout_s=timeout_s)
+
     def test_boolean_label_reported(self):
         cmd = f"{sys.executable} -c \"[print('[0, true]', flush=True) for _ in iter(input, None)]\""
         with ExternalCommandProvider(cmd) as provider:

@@ -304,6 +304,16 @@ class TestBoundsAuditCommand:
         assert "--queries" in capsys.readouterr().err
         assert not (tmp_path / "audit").exists()
 
+    @pytest.mark.parametrize("c2", ["nan", "inf"])
+    def test_non_finite_c2_exit_1(self, tmp_path, tabular, capsys, c2):
+        data, schema, _, _ = tabular
+        out = tmp_path / "audit"
+        code = run("bounds-audit", "--data", data, "--schema", schema, "--label-column", "y",
+                   "--queries", "2", "--iters", "5", "--c2", c2, "--out-dir", str(out))
+        assert code == 1
+        assert f"c2 must be finite and positive, got {c2}" in capsys.readouterr().err
+        assert not (out / "bounds_audit.json").exists()
+
     def test_empty_dataset_fails(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
         data.write_text("x0,y\n")
@@ -416,6 +426,20 @@ class TestFlags:
                    "--out-dir", str(tmp_path / "o"))
         assert code == 1
         assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_predictor_timeout_must_be_finite_and_positive(self, tmp_path, capsys, value):
+        marker = tmp_path / "started"
+        script = tmp_path / "touch.py"
+        script.write_text("import sys\nopen(sys.argv[1], 'w').close()\n")
+        code = run("explain", *REQUIRED["explain"], "--data", "d.csv", "--schema", "s.json",
+                   "--predictor-cmd", f"{sys.executable} {script} {marker}",
+                   "--predictor-timeout-s", value, "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"argument --predictor-timeout-s: must be a finite number above 0, got {value}" in err
+        assert not marker.exists()  # the predictor was never started
         assert not (tmp_path / "o").exists()
 
     def test_help_exits_0(self, capsys):

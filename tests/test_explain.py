@@ -1,7 +1,6 @@
 """Local explanation pipeline: optimize, snap, eliminate, render."""
 
 import importlib
-import json
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from maire import (
     StoredColumnProvider,
     cov_exact,
     explain,
-    render,
 )
 from maire.explain import Explanation, _eliminate, explain_encoded, explain_many
 from maire.indicator import BoxStats, inside_mask, pre_exact_or_none
@@ -128,7 +126,7 @@ class TestExplainPipeline:
         assert expl.feasible and expl.precision >= 0.95
         assert expl.bounds.contains(q)
         assert 1 <= len(expl.clauses) <= 2
-        text, record = render(expl)
+        text = expl.rule_text()
         assert "x0" in text or "x1" in text
 
     def test_cap_of_one_leaves_one_clause(self):
@@ -241,10 +239,8 @@ class TestRender:
         expl = Explanation(
             bounds=bounds, clauses=[], coverage=1.0, precision=0.5,
             query_label=1, feasible=False, query_encoded=np.array([0.5, 0.5]))
-        text, record_json = render(expl)
-        assert text == "TRUE"
-        record = json.loads(record_json)
-        assert record["coverage"] == 1.0
+        assert expl.rule_text() == "TRUE"
+        assert expl.to_record()["coverage"] == 1.0
 
     def test_record_schema_fields(self):
         shape, space, labels = synthetic_dataset("rect", 1200, seed=6)

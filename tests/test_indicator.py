@@ -14,10 +14,9 @@ from maire import (
     cov_hat,
     gamma,
     membership_h,
-    pre_exact,
+    pre_exact_or_none,
     pre_hat,
 )
-from maire.errors import UndefinedPrecisionError
 from maire.indicator import coverage_hypothesis_met, membership_values
 
 DEFAULTS = ApproxConstants()
@@ -111,6 +110,8 @@ class TestConstants:
         pytest.param(dict(c2=-1.0), id="bad2"),
         pytest.param(dict(cl=0.0), id="bad5"),
         pytest.param(dict(ch=1.5), id="bad6"),
+        pytest.param(dict(c2=float("nan")), id="c2=nan"),
+        pytest.param(dict(c2=float("inf")), id="c2=inf"),
     ])
     def test_invalid_constants_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -196,14 +197,13 @@ class TestExactMeasures:
         b = BoxBounds(np.zeros(3), np.ones(3))
         labels = rng.integers(0, 2, 200)
         assert cov_exact(b, X) == 1.0
-        assert pre_exact(b, X, labels, 1) == pytest.approx(labels.mean())
+        assert pre_exact_or_none(b, X, labels, 1) == pytest.approx(labels.mean())
 
     def test_empty_box_coverage_and_precision_error(self):
         b = BoxBounds(np.array([0.4]), np.array([0.4]))
         X = np.array([[0.1], [0.9]])
         assert cov_exact(b, X) == 0.0
-        with pytest.raises(UndefinedPrecisionError):
-            pre_exact(b, X, np.array([0, 1]), 1)
+        assert pre_exact_or_none(b, X, np.array([0, 1]), 1) is None
 
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(5)
@@ -217,7 +217,7 @@ class TestExactMeasures:
             n_in, n_match = brute_force_counts(b.l, b.u, X, labels, 1)
             assert cov_exact(b, X) == n_in / n
             if n_in:
-                assert pre_exact(b, X, labels, 1) == n_match / n_in
+                assert pre_exact_or_none(b, X, labels, 1) == n_match / n_in
 
 
 class TestSoftMeasures:
@@ -244,7 +244,7 @@ class TestSoftMeasures:
         for w in np.linspace(0.02, 0.5, 25):
             b = BoxBounds(np.array([0.5 - w]), np.array([0.5 + w]))
             gaps_cov.append(abs(cov_exact(b, X) - cov_hat(b, X)))
-            gaps_pre.append(abs(pre_exact(b, X, labels, 1) - pre_hat(b, X, labels, 1)))
+            gaps_pre.append(abs(pre_exact_or_none(b, X, labels, 1) - pre_hat(b, X, labels, 1)))
         assert np.mean(gaps_cov) < 0.05
         assert np.mean(gaps_pre) < 0.08
         assert max(gaps_cov) < 0.12
@@ -260,16 +260,44 @@ class TestMembershipValuesShape:
         np.testing.assert_allclose(batch, singles, atol=1e-14)
 
 
+def measures(b, X, labels, query_label, k=DEFAULTS):
+    """(cov, pre, cov_hat, pre_hat) of one box, pre NaN when it is empty."""
+    pre = pre_exact_or_none(b, X, labels, query_label)
+    return (cov_exact(b, X), np.nan if pre is None else pre,
+            cov_hat(b, X, k), pre_hat(b, X, labels, query_label, k))
+
+
+def audit_one_at_a_time(cov, pre, ch, ph, d):
+    """The audit as a loop over boxes: (checked, violations, max_violation)
+    of the coverage envelope and of the precision cap."""
+    checks = {"coverage_envelope": [0, 0, 0.0], "precision_cap": [0, 0, 0.0]}
+
+    def record(name, violation):
+        check = checks[name]
+        check[0] += 1
+        if violation > 0.0:
+            check[1] += 1
+            check[2] = max(check[2], violation)
+
+    scale = (4.0 * d - 1.0) / (4.0 * d)
+    for c, p, a, b in zip(cov.tolist(), pre.tolist(), ch.tolist(), ph.tolist()):
+        record("coverage_envelope", max(scale * c - a, a - (1.0 / (4.0 * d) + scale * c)))
+        if c > 0.0:
+            record("precision_cap", b - p * (1.0 + (1.0 / c) * (4.0 * d / (4.0 * d - 1.0))))
+    return checks
+
+
 class TestAudit:
     def test_envelope_holds_in_one_dimension_with_defaults(self):
         rng = np.random.default_rng(6)
-        report = None
+        rows = []
         for _ in range(100):
             X = rng.random((150, 1))
             labels = rng.integers(0, 2, 150)
             a, c = rng.random(1), rng.random(1)
             b = BoxBounds(np.minimum(a, c), np.maximum(a, c))
-            report = audit_bounds(b, X, labels, 1, DEFAULTS, report)
+            rows.append(measures(b, X, labels, 1))
+        report = audit_bounds(*np.array(rows).T, 1, DEFAULTS)
         assert report.coverage_envelope.hypothesis_met
         assert report.coverage_envelope.violations == 0
         assert report.coverage_envelope.checked == 100
@@ -279,23 +307,52 @@ class TestAudit:
         X = rng.random((100, 8))
         labels = rng.integers(0, 2, 100)
         b = BoxBounds(np.full(8, 0.1), np.full(8, 0.9))
-        report = audit_bounds(b, X, labels, 1, DEFAULTS)
+        report = audit_bounds(*np.array([measures(b, X, labels, 1)]).T, 8, DEFAULTS)
         assert not report.coverage_envelope.hypothesis_met  # c1=0.4 >= 1/16
         assert report.coverage_envelope.checked == 1
 
     def test_empty_box_skips_precision_cap(self):
         X = np.array([[0.1], [0.9]])
         b = BoxBounds(np.array([0.4]), np.array([0.4]))
-        report = audit_bounds(b, X, np.array([0, 1]), 1, DEFAULTS)
+        report = audit_bounds(*np.array([measures(b, X, np.array([0, 1]), 1)]).T, 1, DEFAULTS)
         assert report.precision_cap.checked == 0
 
     def test_report_serializes(self):
         X = np.random.default_rng(0).random((50, 2))
         b = BoxBounds(np.array([0.2, 0.2]), np.array([0.8, 0.8]))
-        report = audit_bounds(b, X, np.zeros(50, dtype=int), 0, DEFAULTS)
+        report = audit_bounds(*np.array([measures(b, X, np.zeros(50, dtype=int), 0)]).T,
+                              2, DEFAULTS)
         d = report.to_dict()
         assert d["dim"] == 2
         assert "coverage_envelope" in d and "precision_cap" in d
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_arrays_match_one_box_at_a_time(self, seed):
+        rng = np.random.default_rng(seed)
+        a = int(rng.integers(1, 60))
+        d = int(rng.integers(1, 10))
+        # coverages on a grid of rows, a third of the boxes empty
+        cov = rng.integers(0, 40, a) / 40 * (rng.random(a) > 1 / 3)
+        pre = np.where(cov > 0.0, rng.integers(0, 11, a) / 10, np.nan)
+        ch = np.clip(cov + rng.normal(0.0, 0.2, a), 0.0, 1.0)
+        ph = rng.random(a)
+        report = audit_bounds(cov, pre, ch, ph, d, DEFAULTS)
+        loop = audit_one_at_a_time(cov, pre, ch, ph, d)
+        for name in ("coverage_envelope", "precision_cap"):
+            check = getattr(report, name)
+            assert [check.checked, check.violations, check.max_violation] == loop[name]
+        assert report.precision_cap.checked == int((cov > 0.0).sum())
+
+    def test_nothing_violated_reads_zero(self):
+        cov, pre = np.array([0.0, 0.5]), np.array([np.nan, 1.0])
+        ch, ph = np.array([0.1, 0.5]), np.array([0.3, 0.9])
+        report = audit_bounds(cov, pre, ch, ph, 1, DEFAULTS)
+        envelope, cap = report.coverage_envelope, report.precision_cap
+        assert (envelope.checked, envelope.violations, envelope.max_violation) == (2, 0, 0.0)
+        # the empty box is skipped by the cap
+        assert (cap.checked, cap.violations, cap.max_violation) == (1, 0, 0.0)
+        assert isinstance(cap.max_violation, float)
+        assert audit_one_at_a_time(cov, pre, ch, ph, 1)["precision_cap"] == [1, 0, 0.0]
 
 
 class TestBoxBounds:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maire import ApproxConstants, BoxBounds, OptimizerConfig, cov_hat, gradient, objective, pre_hat
-from maire.indicator import LEVEL_LIMIT, BoxStats, membership_values
+from maire.indicator import LEVEL_LIMIT, BoxStats, membership_values, soft_measures
 
 # the package exports a function of the same name
 optimize_module = importlib.import_module("maire.optimize")
@@ -162,6 +162,25 @@ def test_soft_measures_match_reference(table, mode, scaled):
     close(cov_hat(b, X, k), h.mean())
     match = labels == 1
     close(pre_hat(b, X, labels, 1, k), (h * match).sum() / max(h.sum(), 1e-300))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(), st.lists(st.sampled_from(BOX_MODES), min_size=1, max_size=6), st.booleans())
+def test_soft_measures_of_many_boxes_equal_one_box_measures(table, modes, scaled):
+    """One kernel over A boxes gives, bit for bit, what a kernel built for
+    each box gives: cov_hat, pre_hat and the soft-precision formula."""
+    X, labels, rng = table
+    k = ApproxConstants.for_dimension(X.shape[1]) if scaled else ApproxConstants()
+    boxes = [BoxBounds(*draw_box(mode, X, rng)) for mode in modes]
+    query_labels = [int(v) for v in rng.integers(0, 3, len(boxes))]
+    got = soft_measures(boxes, X, labels, query_labels, k)
+    assert got.shape == (2, len(boxes))
+    for i, (b, label) in enumerate(zip(boxes, query_labels)):
+        h = membership_values(b, X, k)
+        match = (labels == label).astype(np.float64)
+        assert got[0, i] == cov_hat(b, X, k)
+        assert got[1, i] == pre_hat(b, X, labels, label, k)
+        assert got[1, i] == (h * match).sum() / max(float(h.sum()), 1e-300)
 
 
 @st.composite
