@@ -21,10 +21,21 @@ EXTERNAL_CHUNK_SIZE = 1024
 
 
 class PredictionProvider:
-    """Interface: ``predict(points) -> labels`` for an (N, D) batch."""
+    """Interface: ``predict(points) -> labels`` for an (N, D) batch, and
+    ``close()`` to release what the provider holds (a no-op by default).
+    Providers are context managers that close on exit."""
 
     def predict(self, points: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
+
+    def close(self) -> None:
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def predict_batch(provider: PredictionProvider, points: np.ndarray) -> np.ndarray:
@@ -53,8 +64,6 @@ class StoredColumnProvider(PredictionProvider):
         if len(labels) != len(X):
             raise ProviderError(
                 f"label column has {len(labels)} entries for {len(X)} rows")
-        if labels.min(initial=0) < 0:
-            raise ProviderError("labels must be non-negative integers")
         self._labels = labels
         self._index = {}
         for i, row in enumerate(X):
@@ -140,7 +149,8 @@ class ExternalCommandProvider(PredictionProvider):
     array of points (each point a JSON array of numbers); the child answers
     with one line holding a JSON array of integer labels of equal length.
     Requests are serialized to a single long-lived child; this provider is
-    not safe for concurrent use.
+    not safe for concurrent use. A failed request stops the child; the next
+    request starts a new one.
     """
 
     def __init__(self, command: str, timeout_s: float = 30.0, chunk_size: int = EXTERNAL_CHUNK_SIZE):
@@ -153,7 +163,9 @@ class ExternalCommandProvider(PredictionProvider):
         self._buffer = b""
 
     def _ensure_child(self):
-        if self._proc is None or self._proc.poll() is not None:
+        if self._proc is not None and self._proc.poll() is not None:
+            self._stop(grace_s=0.0)  # the child exited after its last reply
+        if self._proc is None:
             self._proc = subprocess.Popen(
                 shlex.split(self.command),
                 stdin=subprocess.PIPE,
@@ -161,27 +173,19 @@ class ExternalCommandProvider(PredictionProvider):
             )
             self._buffer = b""
 
+    def _stop(self, grace_s: float) -> None:
+        """End the child: close its stdin and give it ``grace_s`` seconds to
+        exit, then kill it; either way reap it and close its pipes."""
+        proc, self._proc = self._proc, None
+        if proc is not None:
+            with proc:
+                try:
+                    proc.communicate(timeout=grace_s)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+
     def close(self):
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()
-            try:
-                self._proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
-        self._proc = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def __del__(self):  # best effort; close() is the real contract
-        try:
-            self.close()
-        except Exception:
-            pass
+        self._stop(grace_s=5.0)
 
     def _read_line(self, offset: int) -> bytes:
         import time
@@ -191,7 +195,6 @@ class ExternalCommandProvider(PredictionProvider):
         while b"\n" not in self._buffer:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                self._proc.kill()
                 raise ProviderError(
                     f"predictor command timed out after {self.timeout_s}s", point_index=offset)
             ready, _, _ = select.select([fd], [], [], remaining)
@@ -209,8 +212,17 @@ class ExternalCommandProvider(PredictionProvider):
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         X = np.asarray(points, dtype=np.float64)
-        out = np.empty(len(X), dtype=np.int64)
         self._ensure_child()
+        try:
+            return self._request(X)
+        except BaseException:
+            # a request that failed part-way leaves the protocol out of step
+            # (or the child stopped or hung): the child is not reused
+            self._stop(grace_s=0.0)
+            raise
+
+    def _request(self, X: np.ndarray) -> np.ndarray:
+        out = np.empty(len(X), dtype=np.int64)
         for start in range(0, len(X), self.chunk_size):
             batch = X[start:start + self.chunk_size]
             request = json.dumps(batch.tolist()) + "\n"

@@ -170,7 +170,7 @@ def _query_json(text: str) -> list:
 
 
 def _load_tabular(args) -> tuple:
-    """(space, labels, provider, table) from the data flags."""
+    """(space, provider, table) from the data flags; the caller closes the provider."""
     sources = [s for s in (args.label_column, args.oracle, args.predictor_cmd) if s]
     if len(sources) != 1:
         raise MaireError("exactly one of --label-column, --oracle, --predictor-cmd is required")
@@ -185,8 +185,14 @@ def _load_tabular(args) -> tuple:
         provider = SyntheticOracle(SHAPES[args.oracle])
     else:
         provider = ExternalCommandProvider(args.predictor_cmd, timeout_s=args.predictor_timeout_s)
-    labels = predict_batch(provider, space.matrix)
-    return space, labels, provider, table
+    return space, provider, table
+
+
+def _labels(args) -> tuple:
+    """(space, labels) from the data flags, the provider closed."""
+    space, provider, _ = _load_tabular(args)
+    with provider:
+        return space, predict_batch(provider, space.matrix)
 
 
 def _write_explanation(expl: Explanation, out_dir: Path, stem: str, trace: bool) -> None:
@@ -203,20 +209,22 @@ def _write_explanation(expl: Explanation, out_dir: Path, stem: str, trace: bool)
 
 
 def cmd_explain(args) -> int:
-    space, labels, provider, table = _load_tabular(args)
-    if args.query_row is not None:
-        if not 0 <= args.query_row < table.n_rows:
-            raise MaireError(f"--query-row {args.query_row} outside table of {table.n_rows} rows")
-        q = space.matrix[args.query_row].copy()
-        query_raw = [_jsonable(v) for v in table.row(args.query_row)]
-    else:
-        values = _query_json(args.query_json)
-        try:
-            q = space.encode_instance(values)
-        except (SchemaError, TypeError, ValueError) as exc:
-            raise MaireError(f"--query-json: {exc}") from exc
-        query_raw = values
-    query_label = int(predict_batch(provider, q[None, :])[0])
+    space, provider, table = _load_tabular(args)
+    with provider:
+        labels = predict_batch(provider, space.matrix)
+        if args.query_row is not None:
+            if not 0 <= args.query_row < table.n_rows:
+                raise MaireError(f"--query-row {args.query_row} outside table of {table.n_rows} rows")
+            q = space.matrix[args.query_row].copy()
+            query_raw = [_jsonable(v) for v in table.row(args.query_row)]
+        else:
+            values = _query_json(args.query_json)
+            try:
+                q = space.encode_instance(values)
+            except (SchemaError, TypeError, ValueError) as exc:
+                raise MaireError(f"--query-json: {exc}") from exc
+            query_raw = values
+        query_label = int(predict_batch(provider, q[None, :])[0])
     cfg = _optimizer_config(args, not args.no_containment_snap)
     expl = explain_encoded(q, space, labels, query_label, cfg,
                            max_attrs=args.max_attrs, query_raw=query_raw)
@@ -258,7 +266,7 @@ def cmd_synth(args) -> int:
 
 def cmd_bounds_audit(args) -> int:
     constants = ApproxConstants(c1=args.c1, c2=args.c2, cl=args.cl, ch=args.ch)
-    space, labels, provider, table = _load_tabular(args)
+    space, labels = _labels(args)
     cfg = _anchors_config(args)
     rng = np.random.default_rng(args.seed)
     n, d = space.matrix.shape
@@ -286,7 +294,7 @@ def cmd_bounds_audit(args) -> int:
 
 
 def cmd_global(args) -> int:
-    space, labels, provider, table = _load_tabular(args)
+    space, labels = _labels(args)
     cfg = _anchors_config(args)
     rng = np.random.default_rng(args.seed)
     n = space.matrix.shape[0]

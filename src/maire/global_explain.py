@@ -4,7 +4,8 @@ Selection is greedy maximum marginal coverage gain over an evaluation set
 (each added explanation maximizes the symmetric difference with the current
 union, which for supersets is exactly the marginal gain), with a seeded
 random-pick baseline. The resulting member set predicts by majority label
-among the applicable boxes and abstains when none applies.
+among the applicable boxes, ties to the lowest label, and abstains when none
+applies. Labels may be any integers.
 """
 
 from __future__ import annotations
@@ -37,43 +38,57 @@ class GlobalExplanation:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
-def _member_masks(candidates: list[Explanation], eval_points: np.ndarray) -> np.ndarray:
-    X = np.asarray(eval_points, dtype=np.float64)
-    return np.stack([inside_mask(c.bounds, X) for c in candidates])
-
-
-def _majority_votes(masks, labels_of, selected, n_points) -> np.ndarray:
-    """Predicted label per point for the selected members; -1 = abstain."""
-    distinct = sorted({labels_of[i] for i in selected})
-    votes = np.zeros((len(distinct), n_points), dtype=np.int64)
-    for i in selected:
-        votes[distinct.index(labels_of[i])] += masks[i]
-    total = votes.sum(axis=0)
-    pred = np.asarray(distinct, dtype=np.int64)[votes.argmax(axis=0)]  # argmax ties -> lowest label
-    pred[total == 0] = -1
-    return pred
-
-
 def _curves(
-    masks: np.ndarray,
-    labels_of: list[int],
-    order: list[int],
+    member_masks: np.ndarray,
+    member_labels: list[int],
     eval_labels: np.ndarray,
 ) -> list[tuple[float, float | None]]:
-    n = masks.shape[1]
+    """(coverage, precision) after each member joins the vote, in order.
+
+    ``member_masks`` is the (B, N) membership of the members. A point is
+    covered once some member votes on it; precision is over the covered
+    points only (None while there are none).
+    """
     eval_labels = np.asarray(eval_labels)
+    distinct, row_of = np.unique(member_labels, return_inverse=True)
+    votes = np.zeros((len(distinct), member_masks.shape[1]), dtype=np.int64)
     out = []
-    for end in range(1, len(order) + 1):
-        selected = order[:end]
-        covered = np.zeros(n, dtype=bool)
-        for i in selected:
-            covered |= masks[i]
-        coverage = float(covered.mean())
-        pred = _majority_votes(masks, labels_of, selected, n)
-        scored = pred >= 0
-        precision = float((pred[scored] == eval_labels[scored]).mean()) if scored.any() else None
-        out.append((coverage, precision))
+    for mask, row in zip(member_masks, row_of):
+        votes[row] += mask
+        covered = votes.any(axis=0)
+        pred = distinct[votes.argmax(axis=0)]  # argmax ties -> lowest label
+        precision = float((pred[covered] == eval_labels[covered]).mean()) if covered.any() else None
+        out.append((float(covered.mean()), precision))
     return out
+
+
+def _select(candidates, eval_points, eval_labels, budget, seed=None) -> GlobalExplanation:
+    """Greedy selection, or with a ``seed`` the random pick, of at most
+    ``budget`` members."""
+    if not candidates:
+        raise ValueError("candidates must be nonempty")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    X = np.asarray(eval_points, dtype=np.float64)
+    masks = np.stack([inside_mask(c.bounds, X) for c in candidates])  # (C, N)
+    if seed is None:
+        covered = np.zeros(masks.shape[1], dtype=bool)
+        order: list[int] = []
+        while len(order) < budget:
+            # a chosen box gains nothing more, so it is never chosen again
+            gains = (masks & ~covered).sum(axis=1)
+            best = int(gains.argmax())  # ties -> lowest index
+            if gains[best] == 0:
+                break
+            order.append(best)
+            covered |= masks[best]
+    else:
+        rng = np.random.default_rng(seed)
+        order = [int(i) for i in rng.choice(len(candidates), size=min(budget, len(candidates)),
+                                            replace=False)]
+    members = [candidates[i] for i in order]
+    curves = _curves(masks[order], [m.query_label for m in members], eval_labels)
+    return GlobalExplanation(members, order, curves)
 
 
 def msd_select(
@@ -87,25 +102,7 @@ def msd_select(
     Stops at the budget or when no candidate adds a covered point. Ties go
     to the lowest candidate index.
     """
-    if not candidates:
-        raise ValueError("candidates must be nonempty")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    masks = _member_masks(candidates, eval_points)
-    covered = np.zeros(masks.shape[1], dtype=bool)
-    remaining = list(range(len(candidates)))
-    order: list[int] = []
-    while remaining and len(order) < budget:
-        gains = [(int((masks[i] & ~covered).sum()), i) for i in remaining]
-        best_gain, best = max(gains, key=lambda g: (g[0], -g[1]))
-        if best_gain == 0:
-            break
-        order.append(best)
-        remaining.remove(best)
-        covered |= masks[best]
-    labels_of = [c.query_label for c in candidates]
-    curves = _curves(masks, labels_of, order, eval_labels)
-    return GlobalExplanation([candidates[i] for i in order], order, curves)
+    return _select(candidates, eval_points, eval_labels, budget)
 
 
 def rp_select(
@@ -116,17 +113,7 @@ def rp_select(
     seed: int,
 ) -> GlobalExplanation:
     """Random-pick baseline: a seeded uniform subset without replacement."""
-    if not candidates:
-        raise ValueError("candidates must be nonempty")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    rng = np.random.default_rng(seed)
-    take = min(budget, len(candidates))
-    order = [int(i) for i in rng.choice(len(candidates), size=take, replace=False)]
-    masks = _member_masks(candidates, eval_points)
-    labels_of = [c.query_label for c in candidates]
-    curves = _curves(masks, labels_of, order, eval_labels)
-    return GlobalExplanation([candidates[i] for i in order], order, curves)
+    return _select(candidates, eval_points, eval_labels, budget, seed)
 
 
 def global_predict(g: GlobalExplanation, x: np.ndarray) -> int | None:
@@ -134,10 +121,9 @@ def global_predict(g: GlobalExplanation, x: np.ndarray) -> int | None:
 
     Ties break toward the smallest label value.
     """
-    if not g.members:
+    point = np.asarray(x, dtype=np.float64)[None, :]
+    voters = [m.query_label for m in g.members if inside_mask(m.bounds, point)[0]]
+    if not voters:
         return None
-    masks = _member_masks(g.members, np.asarray(x, dtype=np.float64)[None, :])
-    if not masks.any():
-        return None
-    labels_of = [m.query_label for m in g.members]
-    return int(_majority_votes(masks, labels_of, range(len(g.members)), 1)[0])
+    labels, counts = np.unique(voters, return_counts=True)
+    return int(labels[counts.argmax()])  # argmax ties -> lowest label

@@ -99,6 +99,13 @@ def _precision(n_match: np.ndarray, n_in: np.ndarray) -> np.ndarray:
     return n_match / np.where(n_in > 0, n_in, np.nan)
 
 
+def _gate(n_match: np.ndarray, n_in: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
+    """The precision gate: 0, 1 or 2 as exact precision is above, at or below
+    P. An empty box has no matches, so counting it as one row gives it
+    precision 0 and forces the precision term on."""
+    return 1.0 + np.sign(cfg.precision_threshold - n_match / np.maximum(n_in, 1))
+
+
 @functools.cache
 def _side(d: int) -> np.ndarray:
     """+1 on the D lower bounds, -1 on the D upper ones."""
@@ -125,9 +132,7 @@ def _gradient(p: BoxPass, past: np.ndarray, cfg: OptimizerConfig, n: int) -> np.
     Step terms (the sgn inside gamma and the precision gate) are treated as
     locally constant, so the gradient is exact everywhere off their jumps.
     """
-    # an empty box has no matches, so counting it as one row gives it
-    # precision 0 and the gate of pre < P
-    gate = 1.0 + np.sign(cfg.precision_threshold - p.n_match / np.maximum(p.n_in, 1))
+    gate = _gate(p.n_match, p.n_in, cfg)
     # pre_hat = match_sum / h_sum, differentiated by the quotient rule
     h_sum, match_sum = p.h_sum[:, None], p.match_sum[:, None]
     dpre = (h_sum * p.grad[:, 1] - match_sum * p.grad[:, 0]) * (1.0 / (h_sum * h_sum))
@@ -142,10 +147,7 @@ def _terms(h_sum, match_sum, n_in, n_match, violation, cfg: OptimizerConfig, n: 
     pre_hat = match_sum / h_sum
     cov = n_in / n
     pre = _precision(n_match, n_in)
-    # the precision gate is 0, 1 or 2 as pre is above, at or below P; an
-    # empty box (pre NaN) forces the precision term on, same as pre < P
-    gate = np.fmin(1.0 + np.sign(cfg.precision_threshold - pre), 2.0)
-    objective = cov_hat + cfg.lambda1 * pre_hat * gate - cfg.lambda2 * violation
+    objective = cov_hat + cfg.lambda1 * pre_hat * _gate(n_match, n_in, cfg) - cfg.lambda2 * violation
     return objective, cov_hat, pre_hat, cov, pre, violation
 
 

@@ -69,19 +69,27 @@ def load_schema(path: str) -> list[AttributeSchema]:
         raise LoadError(f"cannot read schema file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise LoadError(f"schema file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or "attributes" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("attributes"), list):
         raise LoadError(f"schema file {path} must be an object with an 'attributes' list")
     attrs = []
-    for entry in raw["attributes"]:
-        attrs.append(
-            AttributeSchema(
-                name=entry["name"],
-                kind=entry["kind"],
-                levels=tuple(entry["levels"]) if entry.get("levels") else None,
-                categories=tuple(entry["categories"]) if entry.get("categories") else None,
-                value_range=tuple(entry["range"]) if entry.get("range") else None,
+    for i, entry in enumerate(raw["attributes"]):
+        where = f"schema file {path}: attribute {i}"
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str) and "kind" in entry):
+            raise LoadError(f"{where} must be an object with a 'name' string and a 'kind'")
+        if any(a.name == entry["name"] for a in attrs):
+            raise LoadError(f"{where}: name {entry['name']!r} is declared twice")
+        try:
+            attrs.append(
+                AttributeSchema(
+                    name=entry["name"],
+                    kind=entry["kind"],
+                    levels=tuple(entry["levels"]) if entry.get("levels") else None,
+                    categories=tuple(entry["categories"]) if entry.get("categories") else None,
+                    value_range=tuple(entry["range"]) if entry.get("range") else None,
+                )
             )
-        )
+        except (SchemaError, TypeError, ValueError) as exc:
+            raise LoadError(f"{where}: {exc}") from exc
     if not attrs:
         raise LoadError(f"schema file {path} declares no attributes")
     return attrs
@@ -121,6 +129,9 @@ def load_table(path: str, schema: list[AttributeSchema], label_column: str | Non
     if not data:
         raise LoadError(f"table {path}: no rows")
 
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise LoadError(f"table {path}: header row names column(s) {repeated} more than once")
     expected = [a.name for a in schema] + ([label_column] if label_column else [])
     missing = [name for name in expected if name not in header]
     if missing:
@@ -141,11 +152,13 @@ def load_table(path: str, schema: list[AttributeSchema], label_column: str | Non
         if label_column:
             cell = row[col_of[label_column]]
             try:
-                labels.append(int(float(cell)))
-            except (ValueError, OverflowError) as exc:
+                value = float(cell)
+            except ValueError:
+                value = float("nan")
+            if not (value.is_integer() and abs(value) < 2.0 ** 63):
                 raise LoadError(
-                    f"table {path}: row {r} column {label_column!r}: unparseable label {cell!r}"
-                ) from exc
+                    f"table {path}: row {r} column {label_column!r}: label {cell!r} is not an integer")
+            labels.append(int(value))
 
     typed = []
     for attr, col in zip(schema, columns):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -82,6 +83,11 @@ class TestStoredColumn:
             StoredColumnProvider(X, np.array([0, 1, 1]))
         assert info.value.point_index == 2
 
+    def test_negative_labels_accepted(self):
+        X = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.1]])
+        provider = StoredColumnProvider(X, np.array([-1, 1, -3]))
+        np.testing.assert_array_equal(predict_batch(provider, X), [-1, 1, -3])
+
     def test_identical_duplicate_rows_accepted(self):
         X = np.array([[0.1, 0.2], [0.5, 0.5], [0.1, 0.2]])
         provider = StoredColumnProvider(X, np.array([1, 0, 1]))
@@ -139,6 +145,31 @@ class TestExternalCommand:
             with pytest.raises(ProviderError, match="timed out") as info:
                 provider.predict(np.zeros((2, 1)))
             assert info.value.point_index == 0
+
+    @pytest.mark.parametrize("reply", ["not json", "[1]", "[0.5, 1]"])
+    def test_failed_request_stops_child(self, tmp_path, reply):
+        pid_file = tmp_path / "pid"
+        # answers once, then would outlive its stdin by 30 s
+        script = tmp_path / "child.py"
+        script.write_text("import os, sys, time\n"
+                          f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+                          "sys.stdin.readline()\n"
+                          f"print({reply!r}, flush=True)\n"
+                          "time.sleep(30)\n")
+        with ExternalCommandProvider(f"{sys.executable} {script}") as provider:
+            with pytest.raises(ProviderError):
+                provider.predict(np.zeros((2, 1)))
+            with pytest.raises(ProcessLookupError):  # killed and reaped before the raise
+                os.kill(int(pid_file.read_text()), 0)
+
+    def test_exited_child_is_replaced(self, tmp_path):
+        script = tmp_path / "once.py"
+        script.write_text("import json, sys\n"
+                          "print(json.dumps([7] * len(json.loads(sys.stdin.readline()))), flush=True)\n")
+        with ExternalCommandProvider(f"{sys.executable} {script}") as provider:
+            for _ in range(3):
+                np.testing.assert_array_equal(provider.predict(np.zeros((2, 1))), [7, 7])
+                provider._proc.wait(timeout=20)  # the child exits after its one reply
 
     @pytest.mark.parametrize("timeout_s", [math.inf, math.nan, 0.0, -1.0])
     def test_timeout_must_be_finite_and_positive(self, timeout_s):

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, and SVG output."""
 
 import json
+import os
 import sys
 import xml.etree.ElementTree as ET
 
@@ -76,6 +77,18 @@ class TestExplainCommand:
         assert code == 1
         assert "missing.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"attributes": [{"kind": "continuous"}]}',
+                                      '{"attributes": 5}', '{"attributes": ["a"]}'],
+                             ids=["no-name", "not-a-list", "entry-not-object"])
+    def test_malformed_schema_exits_1(self, tmp_path, tabular, capsys, text):
+        data, _, row, _ = tabular
+        schema = tmp_path / "bad.json"
+        schema.write_text(text)
+        code = run("explain", "--data", data, "--schema", str(schema), "--label-column", "y",
+                   "--query-row", str(row), "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert "bad.json" in capsys.readouterr().err
+
     def test_query_json_with_oracle(self, tmp_path, tabular):
         data, schema, _, plain = tabular
         code = run("explain", "--data", plain, "--schema", schema, "--oracle", "rect",
@@ -98,6 +111,29 @@ class TestExplainCommand:
                    "--query-row", str(row), "--iters", "400", "--precision", "0.9",
                    "--out-dir", str(tmp_path / "o3"))
         assert code == 0
+
+    @pytest.mark.parametrize("command, extra", [
+        ("explain", ["--query-row", "0"]),
+        ("global", ["--anchors", "2", "--max-attrs", "1"]),
+        ("bounds-audit", ["--queries", "2"]),
+    ])
+    def test_each_command_stops_its_predictor(self, tmp_path, tabular, command, extra):
+        data, schema, row, plain = tabular
+        pids = tmp_path / "pids"
+        script = tmp_path / "pred.py"
+        script.write_text(
+            "import json, os, sys\n"
+            f"open({str(pids)!r}, 'a').write(f'{{os.getpid()}}\\n')\n"
+            "for line in sys.stdin:\n"
+            "    print(json.dumps([int(p[0] < 0.5) for p in json.loads(line)]), flush=True)\n"
+        )
+        code = run(command, "--data", plain, "--schema", schema,
+                   "--predictor-cmd", f"{sys.executable} {script}", "--iters", "5",
+                   *extra, "--out-dir", str(tmp_path / "o"))
+        assert code in (0, 2)
+        for pid in pids.read_text().split():
+            with pytest.raises(ProcessLookupError):  # exited and reaped
+                os.kill(int(pid), 0)
 
     @pytest.mark.parametrize("query", ["5", "{\"x0\": 0.5}", "[0.5]", "[0.5, [0.5]]",
                                        "[0.5, \"a\"]", "[0.5"])
@@ -343,6 +379,34 @@ class TestGlobalCommand:
         assert len(lines) == 1 + len(record["members"])
         coverages = [float(line.split(",")[1]) for line in lines[1:]]
         assert coverages == sorted(coverages)
+
+    def test_plus_minus_one_labels(self, tmp_path):
+        rng = np.random.default_rng(3)
+        X = rng.random((300, 2))
+        labels = np.where(((X >= 0.3) & (X <= 0.7)).all(axis=1), 1, -1)
+        data = tmp_path / "pm.csv"
+        data.write_text("x0,x1,y\n" + "\n".join(f"{a:.9f},{b:.9f},{y}"
+                                                for (a, b), y in zip(X, labels)) + "\n")
+        schema = tmp_path / "s.json"
+        schema.write_text(json.dumps({"attributes": [
+            {"name": "x0", "kind": "continuous", "range": [0.0, 1.0]},
+            {"name": "x1", "kind": "continuous", "range": [0.0, 1.0]}]}))
+        out = tmp_path / "global"
+        code = run("global", "--data", str(data), "--schema", str(schema), "--label-column", "y",
+                   "--anchors", "8", "--budget", "5", "--iters", "150",
+                   "--precision", "0.9", "--out-dir", str(out))
+        assert code == 0
+        record = json.loads((out / "global.json").read_text())
+        assert {m["label"] for m in record["members"]} <= {-1, 1}
+        votes = np.zeros((2, len(X)), dtype=int)  # rows: label -1, label 1
+        for m, (cov, pre) in zip(record["members"], record["curves"]):
+            votes[(m["label"] + 1) // 2] += ((X >= m["l"]) & (X <= m["u"])).all(axis=1)
+            covered = votes.sum(axis=0) > 0
+            pred = np.where(votes[1] > votes[0], 1, -1)  # a tie goes to -1
+            assert cov == pytest.approx(covered.mean())
+            assert pre == pytest.approx((pred[covered] == labels[covered]).mean())
+        lines = (out / "curves.csv").read_text().strip().splitlines()[1:]
+        assert all(line.split(",")[2] != "" for line in lines)
 
     @pytest.mark.parametrize("anchors", ["0", "-3"])
     def test_anchors_below_one_exit_1(self, tmp_path, tabular, capsys, anchors):

@@ -22,6 +22,21 @@ def union_coverage(members, X):
     return covered.mean()
 
 
+def brute_force_curves(boxes, X, labels):
+    """(coverage, precision) per prefix of ``boxes`` = [(l, u, label)], one
+    point and one vote at a time: majority label, ties to the lowest, and
+    precision over the points some box covers."""
+    curves = []
+    for end in range(1, len(boxes) + 1):
+        preds = []
+        for x in X:
+            votes = [y for l, u, y in boxes[:end] if all(a <= v <= b for a, v, b in zip(l, x, u))]
+            preds.append(min(set(votes), key=lambda y: (-votes.count(y), y)) if votes else None)
+        hits = [p == y for p, y in zip(preds, labels) if p is not None]
+        curves.append((len(hits) / len(X), sum(hits) / len(hits) if hits else None))
+    return curves
+
+
 @pytest.fixture
 def line_points():
     # 100 evenly spread 1-D points; box [a, b] covers a predictable slice
@@ -140,6 +155,18 @@ class TestGlobalPredict:
         )
         assert global_predict(g, np.array([0.5, 0.5])) == 1
 
+    def test_negative_labels_vote(self):
+        g = GlobalExplanation(
+            members=[
+                box_explanation([0.0, 0.0], [0.5, 0.5], label=1),
+                box_explanation([0.0, 0.0], [1.0, 1.0], label=-1),
+            ],
+            member_indices=[0, 1],
+            curves=[],
+        )
+        assert global_predict(g, np.array([0.9, 0.9])) == -1
+        assert global_predict(g, np.array([0.2, 0.2])) == -1  # a 1-1 tie
+
 
 class TestCurves:
     def test_precision_excludes_abstained_points(self):
@@ -150,6 +177,33 @@ class TestCurves:
         cov, pre = g.curves[0]
         assert cov == pytest.approx(2 / 3)
         assert pre == pytest.approx(1 / 2)  # the uncovered third point is left out
+
+    def test_negative_label_member_scores_its_points(self):
+        X = np.array([[0.1], [0.2], [0.6], [0.9]])
+        cands = [box_explanation([0.0], [0.3], label=-1)]
+        g = msd_select(cands, X, np.array([-1, -1, 1, 1]), budget=1)
+        assert g.curves == [(0.5, 1.0)]
+
+    @pytest.mark.parametrize("select", ["msd", "rp"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_curves_match_brute_force_vote(self, select, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.random((60, 2))
+        labels = rng.choice([-1, 1], 60)
+        cands = []
+        for _ in range(12):
+            a, b = rng.random(2), rng.random(2)
+            cands.append(box_explanation(np.minimum(a, b), np.maximum(a, b),
+                                         label=int(rng.choice([-1, 1]))))
+        if select == "msd":
+            g = msd_select(cands, X, labels, budget=12)
+        else:
+            g = rp_select(cands, X, labels, budget=12, seed=seed)
+        boxes = [(m.bounds.l, m.bounds.u, m.query_label) for m in g.members]
+        expected = brute_force_curves(boxes, X, labels)
+        assert [cov for cov, _ in g.curves] == pytest.approx([cov for cov, _ in expected])
+        assert [pre for _, pre in g.curves] == [pytest.approx(pre) if pre is not None else None
+                                                for _, pre in expected]
 
     def test_no_coverage_gives_none_precision(self):
         X = np.array([[0.9]])

@@ -17,7 +17,7 @@ from maire import (
     pre_hat,
 )
 from maire.indicator import pre_exact_or_none
-from maire.optimize import TRACE_COLUMNS
+from maire.optimize import TRACE_COLUMNS, _gate
 from maire.synthetic import synthetic_dataset
 
 OBJECTIVE = TRACE_COLUMNS.index("objective")
@@ -107,6 +107,15 @@ class TestObjective:
         cfg = OptimizerConfig(precision_threshold=0.5, lambda1=3.0)
         expected = cov_hat(b, X, K) + 2 * 3.0 * pre_hat(b, X, labels, 1, K)
         assert objective(b, q, X, labels, 1, cfg, K) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.95, 1.0])
+    def test_gate_is_0_1_2_above_at_below_threshold(self, threshold):
+        n_in = np.array([0, 1, 2, 4, 20, 20, 20, 100])
+        n_match = np.array([0, 1, 1, 2, 19, 10, 20, 95])
+        cfg = OptimizerConfig(precision_threshold=threshold)
+        expected = [2.0 if n == 0 else 1.0 + np.sign(threshold - m / n)
+                    for m, n in zip(n_match, n_in)]
+        assert _gate(n_match, n_in, cfg).tolist() == expected
 
 
 class TestGradient:

@@ -61,6 +61,21 @@ class TestLoadTable:
         table = load_table(path, people_schema, label_column="y")
         assert table.labels.tolist() == [0, 1]
 
+    def test_negative_labels(self, tmp_path, people_schema):
+        path = write(tmp_path, "t.csv", "Age,Sex,y\n17,M,-1\n43,F,1.0\n")
+        assert load_table(path, people_schema, label_column="y").labels.tolist() == [-1, 1]
+
+    @pytest.mark.parametrize("cell", ["1.5", "-0.5", "1e300", "nan", "one"])
+    def test_non_integer_label_names_row_and_column(self, tmp_path, people_schema, cell):
+        path = write(tmp_path, "t.csv", f"Age,Sex,y\n17,M,0\n43,F,{cell}\n")
+        with pytest.raises(LoadError, match=rf"row 1 column 'y'.*{cell!r} is not an integer"):
+            load_table(path, people_schema, label_column="y")
+
+    def test_repeated_header_column(self, tmp_path, people_schema):
+        path = write(tmp_path, "t.csv", "Age,Sex,Age\n17,M,90\n43,F,91\n")
+        with pytest.raises(LoadError, match=r"header row names column\(s\) \['Age'\] more than once"):
+            load_table(path, people_schema)
+
     def test_ordered_level_membership_enforced(self, tmp_path):
         schema = [AttributeSchema(name="Rooms", kind="ordered_discrete", levels=(1, 2, 3))]
         path = write(tmp_path, "t.csv", "Rooms\n2\n5\n")
@@ -82,6 +97,25 @@ class TestLoadSchema:
     def test_missing_file(self):
         with pytest.raises(LoadError, match="nope.json"):
             load_schema("nope.json")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"attributes": 5}', "must be an object with an 'attributes' list"),
+        ('{"attributes": ["a"]}', "attribute 0 must be an object with a 'name' string"),
+        ('{"attributes": [{"kind": "continuous"}]}', "attribute 0 must be an object with a 'name'"),
+        ('{"attributes": [{"name": "a", "kind": "continuous"}, {"name": 3, "kind": "continuous"}]}',
+         "attribute 1 must be an object with a 'name' string"),
+        ('{"attributes": [{"name": "a", "kind": "continuous"}, {"name": "a", "kind": "continuous"}]}',
+         "attribute 1: name 'a' is declared twice"),
+        ('{"attributes": [{"name": "a", "kind": "categorical", "categories": 5}]}', "attribute 0: "),
+        ('{"attributes": [{"name": "a", "kind": "continuous", "range": [1]}]}', "attribute 0: "),
+        ('{"attributes": [{"name": "a", "kind": "ordered_discrete", "levels": ["x"]}]}',
+         "attribute 0: "),
+        ('{"attributes": [{"name": "a", "kind": "interval"}]}', "attribute 0: .*unknown kind"),
+    ], ids=["not-a-list", "entry-not-object", "no-name", "name-not-string", "name-twice",
+            "categories-not-list", "range-one-value", "level-not-number", "unknown-kind"])
+    def test_malformed_file_names_entry(self, tmp_path, text, message):
+        with pytest.raises(LoadError, match=message):
+            load_schema(write(tmp_path, "s.json", text))
 
     def test_invalid_declarations(self):
         with pytest.raises(SchemaError):
