@@ -250,5 +250,9 @@ class ExternalCommandProvider(PredictionProvider):
                     raise ProviderError(
                         f"predictor command sent a non-integer label {label!r}",
                         point_index=start + i)
+                if not -2 ** 63 <= label < 2 ** 63:
+                    raise ProviderError(
+                        f"predictor command sent label {label}, outside the 64-bit integer range",
+                        point_index=start + i)
                 out[start + i] = label
         return out

@@ -60,14 +60,20 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 # the run flags; each subcommand registers the ones it reads
@@ -78,7 +84,7 @@ _RUN_FLAGS = {
     "--lambda2": dict(type=float, default=5.0),
     "--lr": dict(type=float, default=0.01),
     "--iters": dict(type=_positive_int, default=2500),
-    "--seed": dict(type=int, default=0,
+    "--seed": dict(type=_int_at_least(0), default=0,
                    help="seed of the synthetic data and of the query and anchor draws"),
     "--threads": dict(type=int, default=1,
                       help="ignored: the anchors are stepped in lockstep in one thread"),
@@ -211,7 +217,6 @@ def _write_explanation(expl: Explanation, out_dir: Path, stem: str, trace: bool)
 def cmd_explain(args) -> int:
     space, provider, table = _load_tabular(args)
     with provider:
-        labels = predict_batch(provider, space.matrix)
         if args.query_row is not None:
             if not 0 <= args.query_row < table.n_rows:
                 raise MaireError(f"--query-row {args.query_row} outside table of {table.n_rows} rows")
@@ -224,6 +229,7 @@ def cmd_explain(args) -> int:
             except (SchemaError, TypeError, ValueError) as exc:
                 raise MaireError(f"--query-json: {exc}") from exc
             query_raw = values
+        labels = predict_batch(provider, space.matrix)
         query_label = int(predict_batch(provider, q[None, :])[0])
     cfg = _optimizer_config(args, not args.no_containment_snap)
     expl = explain_encoded(q, space, labels, query_label, cfg,

@@ -84,9 +84,8 @@ def _eliminate(
     """
     l = l.copy()
     u = u.copy()
-    n, c = X.shape
-    member = np.zeros((c, len(space.attributes)))
-    member[np.arange(c), [info.attr_index for info in space.column_map]] = 1.0
+    n = len(X)
+    member = np.eye(len(space.attributes))[space.attr_of]  # (columns, attrs) one-hot
     out = (((X < l) | (X > u)) @ member).T > 0  # (attrs, N): row outside on attribute
     violations = out.sum(axis=0)  # per row: number of violated attributes
     active = np.asarray(nontrivial_attributes(l, u, space), dtype=np.intp)
@@ -117,7 +116,7 @@ def _eliminate(
             pick = np.lexsort((active, loss, -cov, ~pool))[0]
 
         attr = active[pick]
-        cols = space.columns_of(attr)
+        cols = space.attr_of == attr
         l[cols] = 0.0
         u[cols] = 1.0
         violations -= out[attr]
@@ -126,37 +125,6 @@ def _eliminate(
         coverage_path.append(float(cov[pick]))
 
     return l, u, order, coverage_path
-
-
-def _explanation(
-    l: np.ndarray,
-    u: np.ndarray,
-    space: EncodedSpace,
-    X: np.ndarray,
-    labels: np.ndarray,
-    query_label: int,
-    threshold: float,
-    query_encoded: np.ndarray,
-    query_raw: list | None,
-    elimination_order: list[str],
-    trace: OptimizationTrace | None,
-) -> Explanation:
-    """Decode final bounds into clauses and measure them exactly."""
-    bounds = BoxBounds(l, u)
-    clauses = decode_bounds(bounds.l, bounds.u, space)
-    pre = pre_exact_or_none(bounds, X, labels, query_label)
-    return Explanation(
-        bounds=bounds,
-        clauses=clauses,
-        coverage=cov_exact(bounds, X),
-        precision=pre,
-        query_label=int(query_label),
-        feasible=pre is not None and pre >= threshold,
-        query_encoded=query_encoded,
-        query_raw=query_raw,
-        elimination_order=elimination_order,
-        trace=trace,
-    )
 
 
 def _attr_cap(max_attrs: int | None, space: EncodedSpace) -> int:
@@ -177,13 +145,27 @@ def _finish(
     cap: int,
     query_raw: list | None,
 ) -> Explanation:
-    """Snap, eliminate and decode an optimized box."""
+    """Snap, eliminate and decode an optimized box, and measure the rule
+    exactly."""
     X = space.matrix
     box = snap_discrete(box, space)
     match = np.asarray(labels) == query_label
     l, u, order, _ = _eliminate(box.l, box.u, space, X, match, threshold, cap)
-    return _explanation(l, u, space, X, labels, query_label, threshold, q, query_raw, order,
-                        trace)
+    bounds = BoxBounds(l, u)
+    clauses = decode_bounds(bounds.l, bounds.u, space)
+    pre = pre_exact_or_none(bounds, X, labels, query_label)
+    return Explanation(
+        bounds=bounds,
+        clauses=clauses,
+        coverage=cov_exact(bounds, X),
+        precision=pre,
+        query_label=int(query_label),
+        feasible=pre is not None and pre >= threshold,
+        query_encoded=q,
+        query_raw=query_raw,
+        elimination_order=order,
+        trace=trace,
+    )
 
 
 def explain_encoded(

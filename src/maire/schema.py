@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,7 +148,13 @@ def load_table(path: str, schema: list[AttributeSchema], label_column: str | Non
             raise LoadError(f"table {path}: row {r} has {len(row)} cells, expected {len(header)}")
         for j, attr in enumerate(schema):
             cell = row[col_of[attr.name]]
-            columns[j].append(_parse_cell(cell, attr, path, r))
+            if attr.kind != "categorical":
+                try:
+                    cell = float(cell)
+                except ValueError as exc:
+                    raise LoadError(
+                        f"table {path}: row {r} column {attr.name!r}: unparseable cell {cell!r}") from exc
+            columns[j].append(cell)
         if label_column:
             cell = row[col_of[label_column]]
             try:
@@ -162,150 +168,143 @@ def load_table(path: str, schema: list[AttributeSchema], label_column: str | Non
 
     typed = []
     for attr, col in zip(schema, columns):
-        if attr.kind == "categorical":
-            typed.append(np.asarray(col, dtype=object))
-        else:
-            typed.append(np.asarray(col, dtype=np.float64))
+        col = np.asarray(col, dtype=object if attr.kind == "categorical" else np.float64)
+        if attr.kind != "continuous":
+            try:
+                codes = _codes(attr, col)
+            except SchemaError as exc:
+                raise LoadError(f"table {path}: {exc}") from exc
+            if attr.kind == "ordered_discrete":
+                col = np.asarray(attr.levels)[codes]  # each value snapped onto its level
+        typed.append(col)
     return RawTable(list(schema), typed, np.asarray(labels, dtype=np.int64) if label_column else None)
 
 
-def _parse_cell(cell: str, attr: AttributeSchema, path: str, row: int):
-    where = f"table {path}: row {row} column {attr.name!r}"
+def _value_error(attr: AttributeSchema, row: int, query: bool, problem: str) -> SchemaError:
+    """The error for a bad value at a row (or in the query) of a column."""
+    return SchemaError(f"{'query' if query else f'row {row}'} column {attr.name!r}: {problem}")
+
+
+def _codes(attr: AttributeSchema, values: np.ndarray, query: bool = False) -> np.ndarray:
+    """Index of each value's category, or of the declared level within 1e-9
+    of it; a value with none raises a SchemaError naming its row (or the
+    query) and column."""
     if attr.kind == "categorical":
-        if cell not in attr.categories:
-            raise LoadError(f"{where}: unknown category {cell!r}")
-        return cell
-    try:
-        value = float(cell)
-    except ValueError as exc:
-        raise LoadError(f"{where}: unparseable cell {cell!r}") from exc
+        index = {c: t for t, c in enumerate(attr.categories)}
+        codes = np.asarray([index.get(v, -1) for v in values], dtype=np.intp)
+        bad = codes < 0
+        what = "unknown category {!r}"
+    else:
+        gap = np.abs(values[:, None] - np.asarray(attr.levels))
+        codes = gap.argmin(axis=1)
+        bad = ~(gap.min(axis=1) <= 1e-9)
+        what = "value {!r} is not a declared level"
+    if bad.any():
+        r = int(np.argmax(bad))
+        value = values[r].item() if isinstance(values[r], np.generic) else values[r]
+        raise _value_error(attr, r, query, what.format(value))
+    return codes
+
+
+def _positions(attr: AttributeSchema) -> tuple[float, ...]:
+    """Encoded positions of an ordered attribute's levels: (t+1)/(m+1)."""
+    m = len(attr.levels)
+    return tuple((t + 1) / (m + 1) for t in range(m))
+
+
+def _encode_attribute(
+    attr: AttributeSchema,
+    raw,
+    value_range: tuple[float, float] | None = None,
+    query: bool = False,
+) -> tuple[np.ndarray, tuple[float, float] | None, int]:
+    """Encoded columns of one attribute's raw values.
+
+    Returns the (n, width) block, the (min, max) a continuous attribute was
+    scaled by and the number of values clamped into [0, 1]. The range is
+    ``value_range``, else the declared one, else fitted to the values.
+    Ordered values go to the position of their level and categories expand
+    to one-hot columns. Errors name the row (the query with ``query``) and
+    the column.
+    """
+    if attr.kind == "categorical":
+        codes = _codes(attr, raw, query)
+        return (codes[:, None] == np.arange(len(attr.categories))).astype(np.float64), None, 0
+    values = np.asarray(raw, dtype=np.float64)
     if attr.kind == "ordered_discrete":
-        matches = [v for v in attr.levels if abs(v - value) <= 1e-9]
-        if not matches:
-            raise LoadError(f"{where}: value {cell!r} is not a declared level")
-        return matches[0]
-    return value
-
-
-@dataclass(frozen=True)
-class ColumnInfo:
-    """Where an encoded column came from."""
-
-    attr_index: int
-    attr_name: str
-    kind: str
-    category: str | None = None          # one-hot columns
-    encoded_levels: tuple[float, ...] | None = None  # ordered columns
+        return np.asarray(_positions(attr))[_codes(attr, values, query)][:, None], None, 0
+    finite = np.isfinite(values)
+    if not finite.all():
+        r = int(np.argmin(finite))
+        raise _value_error(attr, r, query, f"non-finite value {values[r]}")
+    lo, hi = value_range or attr.value_range or (float(values.min()), float(values.max()))
+    if lo >= hi:
+        raise SchemaError(f"attribute {attr.name!r}: constant column cannot be normalized")
+    z = (values - lo) / (hi - lo)
+    clamped = int(((z < 0.0) | (z > 1.0)).sum())
+    if clamped:
+        log.warning("clamp: attribute %r: %d value(s) outside fitted range [%s, %s]",
+                    attr.name, clamped, lo, hi)
+        z = np.clip(z, 0.0, 1.0)
+    return z[:, None], (lo, hi), clamped
 
 
 @dataclass
 class EncodedSpace:
     """Normalized, one-hot-expanded feature matrix plus the way back.
 
-    Every matrix entry lies in [0, 1]; ``column_map`` covers all encoded
-    columns exactly once; ``normalizers`` holds the fitted (min, max) per
-    continuous attribute in raw units.
+    Every matrix entry lies in [0, 1]; ``attr_of`` gives the index of the
+    attribute each encoded column belongs to, and an attribute's columns
+    are contiguous and in declaration order (one-hot columns in category
+    order); ``normalizers`` holds the fitted (min, max) per continuous
+    attribute in raw units.
     """
 
     matrix: np.ndarray
-    column_map: list[ColumnInfo]
+    attr_of: np.ndarray
     attributes: list[AttributeSchema]
     normalizers: dict[int, tuple[float, float]]
     clamp_warnings: int = 0
-    _groups: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def n_columns(self) -> int:
-        return len(self.column_map)
+        return len(self.attr_of)
 
     def columns_of(self, attr_index: int) -> np.ndarray:
         """Encoded column indices belonging to one raw attribute."""
-        if attr_index not in self._groups:
-            cols = [j for j, info in enumerate(self.column_map) if info.attr_index == attr_index]
-            self._groups[attr_index] = np.asarray(cols, dtype=np.intp)
-        return self._groups[attr_index]
+        return np.flatnonzero(self.attr_of == attr_index)
 
     def encode_instance(self, values) -> np.ndarray:
         """Encode one raw instance (sequence aligned with the attributes)."""
         if len(values) != len(self.attributes):
             raise SchemaError(f"instance has {len(values)} values, expected {len(self.attributes)}")
-        out = np.zeros(self.n_columns, dtype=np.float64)
-        pos = 0
-        for i, attr in enumerate(self.attributes):
-            v = values[i]
-            if attr.kind == "continuous":
-                if not np.isfinite(float(v)):
-                    raise SchemaError(f"attribute {attr.name!r}: non-finite query value {v!r}")
-                lo, hi = self.normalizers[i]
-                z = (float(v) - lo) / (hi - lo)
-                if z < 0.0 or z > 1.0:
-                    self.clamp_warnings += 1
-                    log.warning("clamp: attribute %r value %s outside fitted range [%s, %s]",
-                                attr.name, v, lo, hi)
-                    z = min(max(z, 0.0), 1.0)
-                out[pos] = z
-                pos += 1
-            elif attr.kind == "ordered_discrete":
-                idx = [t for t, lvl in enumerate(attr.levels) if abs(lvl - float(v)) <= 1e-9]
-                if not idx:
-                    raise SchemaError(f"attribute {attr.name!r}: value {v!r} is not a declared level")
-                out[pos] = (idx[0] + 1) / (len(attr.levels) + 1)
-                pos += 1
-            else:
-                if v not in attr.categories:
-                    raise SchemaError(f"attribute {attr.name!r}: unknown category {v!r}")
-                out[pos + attr.categories.index(v)] = 1.0
-                pos += len(attr.categories)
-        return out
+        blocks = []
+        for i, (attr, v) in enumerate(zip(self.attributes, values)):
+            raw = np.empty(1, dtype=object)
+            raw[0] = v
+            block, _, clamped = _encode_attribute(attr, raw, self.normalizers.get(i), query=True)
+            self.clamp_warnings += clamped
+            blocks.append(block[0])
+        return np.concatenate(blocks)
 
 
 def encode(table: RawTable, schema: list[AttributeSchema] | None = None) -> EncodedSpace:
     """Build the encoded space from a raw table, fitting continuous ranges."""
     attrs = list(schema) if schema is not None else list(table.attributes)
-    n = table.n_rows
-    cols: list[np.ndarray] = []
-    column_map: list[ColumnInfo] = []
+    blocks: list[np.ndarray] = []
+    attr_of: list[int] = []
     normalizers: dict[int, tuple[float, float]] = {}
     clamps = 0
-
     for i, attr in enumerate(attrs):
-        raw = table.columns[i]
-        if attr.kind == "continuous":
-            values = np.asarray(raw, dtype=np.float64)
-            finite = np.isfinite(values)
-            if not finite.all():
-                r = int(np.argmin(finite))
-                raise SchemaError(f"row {r} column {attr.name!r}: non-finite value {values[r]}")
-            if attr.value_range is not None:
-                lo, hi = attr.value_range
-            else:
-                lo, hi = float(values.min()), float(values.max())
-                if lo >= hi:
-                    raise SchemaError(f"attribute {attr.name!r}: constant column cannot be normalized")
-            normalizers[i] = (lo, hi)
-            z = (values - lo) / (hi - lo)
-            out_of_range = int(((z < 0.0) | (z > 1.0)).sum())
-            if out_of_range:
-                clamps += out_of_range
-                log.warning("clamp: attribute %r: %d value(s) outside fitted range [%s, %s]",
-                            attr.name, out_of_range, lo, hi)
-                z = np.clip(z, 0.0, 1.0)
-            cols.append(z)
-            column_map.append(ColumnInfo(i, attr.name, attr.kind))
-        elif attr.kind == "ordered_discrete":
-            m = len(attr.levels)
-            encoded_levels = tuple((t + 1) / (m + 1) for t in range(m))
-            lookup = {lvl: encoded_levels[t] for t, lvl in enumerate(attr.levels)}
-            z = np.asarray([lookup[v] for v in raw], dtype=np.float64)
-            cols.append(z)
-            column_map.append(ColumnInfo(i, attr.name, attr.kind, encoded_levels=encoded_levels))
-        else:
-            for c, cat in enumerate(attr.categories):
-                cols.append((raw == cat).astype(np.float64))
-                column_map.append(ColumnInfo(i, attr.name, attr.kind, category=cat))
-
-    matrix = np.column_stack(cols) if cols else np.zeros((n, 0))
-    return EncodedSpace(matrix, column_map, attrs, normalizers, clamp_warnings=clamps)
+        block, scale, clamped = _encode_attribute(attr, table.columns[i])
+        blocks.append(block)
+        clamps += clamped
+        if scale is not None:
+            normalizers[i] = scale
+        attr_of += [i] * block.shape[1]
+    matrix = np.hstack(blocks) if blocks else np.zeros((table.n_rows, 0))
+    return EncodedSpace(matrix, np.asarray(attr_of, dtype=np.intp), attrs, normalizers,
+                        clamp_warnings=clamps)
 
 
 # ---------------------------------------------------------------------------
@@ -355,23 +354,6 @@ class RuleClause:
         return out
 
 
-def _onehot_allowed(space: EncodedSpace, attr_index: int, l: np.ndarray, u: np.ndarray) -> list[str]:
-    """Categories admitted by the bounds of one one-hot group.
-
-    Category c is admitted when its column admits the value 1 and every
-    sibling column admits the value 0.
-    """
-    cols = space.columns_of(attr_index)
-    admits1 = {int(j): u[j] >= 1.0 for j in cols}
-    admits0 = {int(j): l[j] <= 0.0 for j in cols}
-    allowed = []
-    for j in cols:
-        j = int(j)
-        if admits1[j] and all(admits0[o] for o in map(int, cols) if o != j):
-            allowed.append(space.column_map[j].category)
-    return allowed
-
-
 def decode_bounds(l: np.ndarray, u: np.ndarray, space: EncodedSpace) -> list[RuleClause]:
     """Turn encoded bounds into raw-unit clauses, attribute by attribute.
 
@@ -379,7 +361,8 @@ def decode_bounds(l: np.ndarray, u: np.ndarray, space: EncodedSpace) -> list[Rul
     span of admitted levels. A one-hot group emits an equality clause when
     exactly one category remains admissible, nothing when all (or an
     unrepresentable subset of) categories remain, and raises when no
-    category is admissible at all.
+    category is admissible at all. Category c is admitted when its column
+    admits the value 1 and every sibling column admits the value 0.
     """
     l = np.asarray(l, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
@@ -387,18 +370,15 @@ def decode_bounds(l: np.ndarray, u: np.ndarray, space: EncodedSpace) -> list[Rul
         raise ValueError("decode_bounds requires l <= u componentwise")
 
     clauses: list[RuleClause] = []
-    for i, attr in enumerate(space.attributes):
+    for i in nontrivial_attributes(l, u, space):
+        attr = space.attributes[i]
         cols = space.columns_of(i)
-        if all(l[j] <= 0.0 and u[j] >= 1.0 for j in cols):
-            continue
         if attr.kind == "continuous":
-            j = int(cols[0])
-            lo_raw, hi_raw = _interval_raw(space, i, l[j], u[j])
+            lo_raw, hi_raw = _interval_raw(space, i, l[cols[0]], u[cols[0]])
             clauses.append(RuleClause(attr.name, "interval", lo=lo_raw, hi=hi_raw))
         elif attr.kind == "ordered_discrete":
-            j = int(cols[0])
-            enc = np.asarray(space.column_map[j].encoded_levels)
-            admitted = np.nonzero((enc >= l[j]) & (enc <= u[j]))[0]
+            enc = np.asarray(_positions(attr))
+            admitted = np.nonzero((enc >= l[cols[0]]) & (enc <= u[cols[0]]))[0]
             if admitted.size == 0:
                 raise InconsistentExplanationError(
                     f"attribute {attr.name!r}: bounds admit no declared level")
@@ -407,13 +387,15 @@ def decode_bounds(l: np.ndarray, u: np.ndarray, space: EncodedSpace) -> list[Rul
             clauses.append(RuleClause(attr.name, "ordered_interval",
                                       lo=attr.levels[admitted[0]], hi=attr.levels[admitted[-1]]))
         else:
-            allowed = _onehot_allowed(space, i, l, u)
-            if not allowed:
+            excludes0 = l[cols] > 0.0
+            allowed = (u[cols] >= 1.0) & (excludes0.sum() - excludes0 == 0)
+            if not allowed.any():
                 raise InconsistentExplanationError(
                     f"attribute {attr.name!r}: bounds admit no category "
                     "(a selection of only 0s is not satisfiable)")
-            if len(allowed) == 1:
-                clauses.append(RuleClause(attr.name, "equality", category=allowed[0]))
+            if allowed.sum() == 1:
+                clauses.append(RuleClause(attr.name, "equality",
+                                          category=attr.categories[int(np.argmax(allowed))]))
             # a 2..k-1 subset has no clause form; bounds keep the constraint
     return clauses
 
@@ -435,11 +417,11 @@ def snap_discrete(bounds: BoxBounds, space: EncodedSpace) -> BoxBounds:
     """
     l = bounds.l.copy()
     u = bounds.u.copy()
-    for j, info in enumerate(space.column_map):
-        if info.kind == "continuous":
+    for j, i in enumerate(space.attr_of):
+        attr = space.attributes[i]
+        if attr.kind == "continuous":
             continue
-        levels = np.asarray(info.encoded_levels) if info.kind == "ordered_discrete" \
-            else np.asarray([0.0, 1.0])
+        levels = np.asarray(_positions(attr) if attr.kind == "ordered_discrete" else (0.0, 1.0))
         at_or_above = levels[levels >= l[j]]
         at_or_below = levels[levels <= u[j]]
         if at_or_above.size == 0 or at_or_below.size == 0 or at_or_above[0] > at_or_below[-1]:
@@ -451,9 +433,4 @@ def snap_discrete(bounds: BoxBounds, space: EncodedSpace) -> BoxBounds:
 
 def nontrivial_attributes(l: np.ndarray, u: np.ndarray, space: EncodedSpace) -> list[int]:
     """Raw attributes whose encoded bounds constrain anything."""
-    out = []
-    for i in range(len(space.attributes)):
-        cols = space.columns_of(i)
-        if any(l[j] > 0.0 or u[j] < 1.0 for j in cols):
-            out.append(i)
-    return out
+    return np.unique(space.attr_of[(l > 0.0) | (u < 1.0)]).tolist()

@@ -190,6 +190,14 @@ class TestExternalCommand:
                 provider.predict(np.zeros((2, 1)))
             assert info.value.point_index == 0
 
+    @pytest.mark.parametrize("reply", ["[0, 2 ** 70]", "[0, -2 ** 63 - 1]"])
+    def test_label_outside_int64_reported(self, reply):
+        cmd = f"{sys.executable} -c \"[print({reply}, flush=True) for _ in iter(input, None)]\""
+        with ExternalCommandProvider(cmd) as provider:
+            with pytest.raises(ProviderError, match="outside the 64-bit integer range") as info:
+                provider.predict(np.zeros((2, 1)))
+            assert info.value.point_index == 1
+
 
 class TestPredictBatch:
     def test_requires_2d(self):

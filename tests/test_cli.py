@@ -146,6 +146,29 @@ class TestExplainCommand:
         assert "--query-json" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("query", [["--query-row", "7"], ["--query-row", "-1"],
+                                       ["--query-json", "[0.5, \"a\"]"]])
+    def test_bad_query_fails_before_the_predictor_starts(self, tmp_path, capsys, query):
+        data = tmp_path / "t.csv"
+        data.write_text("x0,x1\n0.1,0.2\n0.5,0.6\n0.9,0.8\n")
+        schema = tmp_path / "s.json"
+        schema.write_text(json.dumps({"attributes": [
+            {"name": "x0", "kind": "continuous"}, {"name": "x1", "kind": "continuous"}]}))
+        marker = tmp_path / "started"
+        script = tmp_path / "pred.py"
+        script.write_text(
+            "import json, sys\n"
+            "open(sys.argv[1], 'w').close()\n"
+            "for line in sys.stdin:\n"
+            "    print(json.dumps([0 for _ in json.loads(line)]), flush=True)\n"
+        )
+        code = run("explain", "--data", str(data), "--schema", str(schema),
+                   "--predictor-cmd", f"{sys.executable} {script} {marker}", *query,
+                   "--iters", "5", "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert query[0] in capsys.readouterr().err
+        assert not marker.exists()
+
     def test_exactly_one_label_source_required(self, tmp_path, tabular, capsys):
         data, schema, row, plain = tabular
         code = run("explain", "--data", data, "--schema", schema,
@@ -481,6 +504,13 @@ class TestFlags:
         code = run(command, *REQUIRED[command], flag, value, "--out-dir", str(tmp_path / "o"))
         assert code == 1
         assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "global", "bounds-audit"])
+    def test_negative_seed_exit_1_naming_flag(self, tmp_path, capsys, command):
+        code = run(command, *REQUIRED[command], "--seed", "-1", "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", [["--lr", "nan"], ["--lr", "inf"], ["--lambda1", "nan"],

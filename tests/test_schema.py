@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from maire import AttributeSchema, BoxBounds, cov_exact, decode_bounds, encode, load_schema, load_table, snap_discrete
 from maire.errors import InconsistentExplanationError, LoadError, SchemaError
@@ -165,7 +166,7 @@ class TestEncode:
         assert space.matrix.min() >= 0.0 and space.matrix.max() <= 1.0
         onehot = space.matrix[:, 1:4]
         np.testing.assert_array_equal(onehot.sum(axis=1), np.ones(100))
-        assert [info.attr_index for info in space.column_map] == [0, 1, 1, 1, 2]
+        assert space.attr_of.tolist() == [0, 1, 1, 1, 2]
 
     def test_constant_column_rejected(self):
         schema = [AttributeSchema(name="a", kind="continuous")]
@@ -204,6 +205,31 @@ class TestEncode:
         space = encode(table)
         np.testing.assert_allclose(space.encode_instance([30.0, "F"]), space.matrix[1])
 
+    def test_unknown_category_names_row_and_column(self, people_schema):
+        table = RawTable(people_schema, [np.array([17.0, 30.0, 43.0]),
+                                         np.asarray(["M", "F", "X"], dtype=object)])
+        with pytest.raises(SchemaError, match=r"row 2 column 'Sex': unknown category 'X'"):
+            encode(table)
+
+    def test_undeclared_level_names_row_and_column(self):
+        schema = [AttributeSchema(name="g", kind="ordered_discrete", levels=(1, 2, 3))]
+        table = RawTable(schema, [np.array([1.0, 3.0, 2.5])])
+        with pytest.raises(SchemaError, match=r"row 2 column 'g': value 2.5 is not a declared level"):
+            encode(table)
+
+    def test_query_errors_name_the_query_and_column(self, people_schema):
+        table = RawTable(people_schema, [np.array([17.0, 30.0]),
+                                         np.asarray(["M", "F"], dtype=object)])
+        space = encode(table)
+        with pytest.raises(SchemaError, match=r"query column 'Sex': unknown category 'X'"):
+            space.encode_instance([20.0, "X"])
+
+    def test_level_within_tolerance_encodes_as_query_does(self):
+        schema = [AttributeSchema(name="g", kind="ordered_discrete", levels=(1, 2, 3))]
+        near = 2.0 + 5e-10
+        space = encode(RawTable(schema, [np.array([1.0, near, 3.0])]))
+        assert space.matrix[1, 0] == space.encode_instance([near])[0] == 2 / 4
+
     def test_clamp_warning_is_single_line_record(self, caplog):
         import logging
 
@@ -214,6 +240,57 @@ class TestEncode:
         assert len(caplog.records) == 1
         assert "\n" not in caplog.records[0].getMessage()
         assert "Age" in caplog.records[0].getMessage()
+
+
+@st.composite
+def mixed_tables(draw):
+    """A table of every attribute kind whose declared range clamps some
+    values and whose ordered values sit within 1e-9 of their levels."""
+    n = draw(st.integers(2, 12))
+    schema = [
+        AttributeSchema(name="fit", kind="continuous"),
+        AttributeSchema(name="clamp", kind="continuous", value_range=(-1.0, 1.0)),
+        AttributeSchema(name="g", kind="ordered_discrete", levels=(0.5, 1.5, 2.5, 10.0)),
+        AttributeSchema(name="c", kind="categorical", categories=("p", "q", "r")),
+    ]
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    fitted = draw(st.lists(finite, min_size=n, max_size=n))
+    assume(min(fitted) < max(fitted))
+    levels = draw(st.lists(st.sampled_from(schema[2].levels), min_size=n, max_size=n))
+    jitter = draw(st.lists(st.floats(-9e-10, 9e-10), min_size=n, max_size=n))
+    cats = draw(st.lists(st.sampled_from(schema[3].categories), min_size=n, max_size=n))
+    return RawTable(schema, [
+        np.asarray(fitted),
+        np.asarray(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))),
+        np.asarray(levels) + np.asarray(jitter),
+        np.asarray(cats, dtype=object),
+    ])
+
+
+def reference_row(space, row):
+    """One row encoded value by value, the scalar way."""
+    out = []
+    for a, (attr, v) in enumerate(zip(space.attributes, row)):
+        if attr.kind == "continuous":
+            lo, hi = space.normalizers[a]
+            out.append(min(max((float(v) - lo) / (hi - lo), 0.0), 1.0))
+        elif attr.kind == "ordered_discrete":
+            t = next(t for t, lvl in enumerate(attr.levels) if abs(lvl - v) <= 1e-9)
+            out.append((t + 1) / (len(attr.levels) + 1))
+        else:
+            out += [float(v == c) for c in attr.categories]
+    return np.asarray(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_tables())
+def test_encode_instance_equals_encoded_row(table):
+    space = encode(table)
+    assert space.normalizers[0] == (table.columns[0].min(), table.columns[0].max())
+    for i in range(table.n_rows):
+        row = table.row(i)
+        assert np.array_equal(space.encode_instance(row), space.matrix[i])
+        assert np.array_equal(reference_row(space, row), space.matrix[i])
 
 
 class TestDecodeBounds:
