@@ -129,29 +129,13 @@ def gamma(z: float, k: ApproxConstants = ApproxConstants()) -> float:
     Evaluates to c1*sigmoid(c2 z) + c3 for z > 0, c1*sigmoid(c2 z) for
     z < 0, and exactly 0.5 at z = 0.
     """
-    if z == 0.0:
-        return 0.5
     return float(_gamma_slope(np.asarray([z], dtype=np.float64), k)[0][0])
 
 
 # A column with at most LEVEL_LIMIT distinct values joins the level block,
 # where a pass costs two matrix products per level instead of about a dozen
-# elementwise operations per row; _HEAD rows are looked at first, which
-# settles most high-cardinality columns without sorting them.
+# elementwise operations per row.
 LEVEL_LIMIT = 16
-_HEAD = 4 * LEVEL_LIMIT
-
-
-def _levels(col: np.ndarray) -> np.ndarray | None:
-    """Distinct values of ``col``, or None when it has more than LEVEL_LIMIT."""
-    levels = np.unique(col[:_HEAD])
-    if levels.size <= LEVEL_LIMIT:
-        # distinct levels: every row matches exactly one of them, or some
-        # value is missing from the head
-        if np.count_nonzero(col == levels[:, None]) == col.size:
-            return levels
-        levels = np.unique(col)
-    return levels if levels.size <= LEVEL_LIMIT else None
 
 
 @dataclass
@@ -200,9 +184,10 @@ class BoxStats:
         self.k, self.n, self.d = k, n, d
 
         columns = np.ascontiguousarray(X.T)
-        found = [_levels(col) for col in columns]
-        self.dense = np.asarray([j for j, v in enumerate(found) if v is None], dtype=np.intp)
-        self.level_cols = np.asarray([j for j, v in enumerate(found) if v is not None],
+        found = [np.unique(col) for col in columns]
+        self.dense = np.asarray([j for j, v in enumerate(found) if v.size > LEVEL_LIMIT],
+                                dtype=np.intp)
+        self.level_cols = np.asarray([j for j, v in enumerate(found) if v.size <= LEVEL_LIMIT],
                                      dtype=np.intp)
         levels = [found[j] for j in self.level_cols]
         counts = [v.size for v in levels]

@@ -151,18 +151,13 @@ def _terms(h_sum, match_sum, n_in, n_match, violation, cfg: OptimizerConfig, n: 
     return objective, cov_hat, pre_hat, cov, pre, violation
 
 
-def _prep(query, data, labels, query_label):
-    X = np.asarray(data, dtype=np.float64)
-    q = np.asarray(query, dtype=np.float64)
-    match = (np.asarray(labels) == query_label).astype(np.float64)
-    return q, X, match
-
-
 def _pass_one(b, query, data, labels, query_label, k):
     """Row count, kernel pass and (1, 2D) bounds and queries of one box."""
-    q, X, match = _prep(query, data, labels, query_label)
-    p = BoxStats(X, k).evaluate(b.l[None], b.u[None], match[None])
-    return X.shape[0], p, np.concatenate([b.l, b.u])[None], np.concatenate([q, q])[None]
+    stats = BoxStats(data, k)
+    match = (np.asarray(labels) == query_label).astype(np.float64)
+    q = np.asarray(query, dtype=np.float64)
+    p = stats.evaluate(b.l[None], b.u[None], match[None])
+    return stats.n, p, np.concatenate([b.l, b.u])[None], np.concatenate([q, q])[None]
 
 
 def objective(
@@ -195,10 +190,11 @@ def gradient(
     return grad[:b.dim], grad[b.dim:]
 
 
-def initial_bounds(query: np.ndarray, margin: float = 0.05) -> BoxBounds:
-    """Small box around the query: guaranteed containment, likely feasible."""
+def initial_bounds(query: np.ndarray) -> BoxBounds:
+    """Box reaching 0.05 past the query on each side, clipped to [0, 1]:
+    guaranteed containment, likely feasible."""
     q = np.asarray(query, dtype=np.float64)
-    return BoxBounds(np.clip(q - margin, 0.0, 1.0), np.clip(q + margin, 0.0, 1.0))
+    return BoxBounds(np.clip(q - 0.05, 0.0, 1.0), np.clip(q + 0.05, 0.0, 1.0))
 
 
 def optimize(
@@ -283,24 +279,23 @@ def _ascend(
         are iterations: (C, A, 2D) bounds and which of them lie past the
         query, (C, A) per-box values."""
         if cfg.containment_snap:
-            # the snap moves onto the query the bounds that lie past it
-            snap = violation > 0.0
-            if snap.any():
+            # the snap moves onto the query the bounds that lie past it; the
+            # iterates it moved are recounted together
+            LU = np.where(outside, qq, LU)
+            moved = violation > 0.0
+            if moved.any():
+                snapped = LU[moved]
+                n_in, n_match = stats.exact(snapped[:, :d], snapped[:, d:],
+                                            match[np.nonzero(moved)[1]])
                 cov, pre = cov.copy(), pre.copy()
-                for j in np.flatnonzero(snap.any(axis=1)):
-                    s = snap[j]
-                    snapped = np.where(outside[j, s], qq[s], LU[j, s])
-                    n_in, n_match = stats.exact(snapped[:, :d], snapped[:, d:], match[s])
-                    cov[j, s] = n_in / n
-                    pre[j, s] = _precision(n_match, n_in)
+                cov[moved] = n_in / n
+                pre[moved] = _precision(n_match, n_in)
         key = cov + 2.0 * (pre >= cfg.precision_threshold)
         row = np.argmax(key, axis=0)  # the first row holding each box's top key
         boxes = np.arange(a)
         top = key[row, boxes]
         better = top > best_key
-        won = row[better], boxes[better]
-        best_lu[better] = (np.where(outside[won], qq[better], LU[won]) if cfg.containment_snap
-                           else LU[won])
+        best_lu[better] = LU[row[better], boxes[better]]
         best_key[better] = top[better]
         best_iteration[better] = first + row[better]
 

@@ -266,10 +266,6 @@ class EncodedSpace:
     normalizers: dict[int, tuple[float, float]]
     clamp_warnings: int = 0
 
-    @property
-    def n_columns(self) -> int:
-        return len(self.attr_of)
-
     def columns_of(self, attr_index: int) -> np.ndarray:
         """Encoded column indices belonging to one raw attribute."""
         return np.flatnonzero(self.attr_of == attr_index)
