@@ -63,7 +63,7 @@ class AttributeSchema:
 def load_schema(path: str) -> list[AttributeSchema]:
     """Read an attribute declaration file: {"attributes": [{name, kind, ...}]}."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise LoadError(f"cannot read schema file {path}: {exc}") from exc
@@ -112,13 +112,14 @@ class RawTable:
 
 
 def load_table(path: str, schema: list[AttributeSchema], label_column: str | None = None) -> RawTable:
-    """Parse a CSV (UTF-8, header row, comma separator) against a schema.
+    """Parse a CSV (UTF-8, optionally with a byte-order mark; header row;
+    comma separator) against a schema.
 
     Column names must match the schema exactly, plus ``label_column`` when
     given. Errors name the offending row and column.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
     except OSError as exc:
@@ -312,8 +313,9 @@ class RuleClause:
     """One human-readable condition on a raw attribute.
 
     Forms: ``interval`` (raw-unit range, rendered "lo < x <= hi"),
-    ``equality`` (categorical), and ``ordered_interval`` (inclusive span of
-    consecutive declared levels). Satisfaction mirrors box membership, so
+    ``equality`` (one category), ``category_set`` (several categories, in
+    declared order) and ``ordered_interval`` (inclusive span of consecutive
+    declared levels). Satisfaction mirrors box membership, so
     both endpoints count as inside; the strict "<" in the rendered text is
     a display convention.
     """
@@ -323,10 +325,13 @@ class RuleClause:
     lo: float | None = None
     hi: float | None = None
     category: str | None = None
+    categories: tuple[str, ...] | None = None
 
     def text(self) -> str:
         if self.form == "equality":
             return f"{self.attribute} = {self.category}"
+        if self.form == "category_set":
+            return f"{self.attribute} ∈ {{{', '.join(self.categories)}}}"
         if self.form == "interval":
             return f"{self.lo:.2f} < {self.attribute} ≤ {self.hi:.2f}"
         if self.lo == self.hi:
@@ -336,6 +341,8 @@ class RuleClause:
     def satisfied(self, value) -> bool:
         if self.form == "equality":
             return value == self.category
+        if self.form == "category_set":
+            return value in self.categories
         v = float(value)
         tol = 1e-9 * max(1.0, abs(self.lo), abs(self.hi))  # decode multiplies back, allow 1-ulp drift
         return self.lo - tol <= v <= self.hi + tol
@@ -344,6 +351,8 @@ class RuleClause:
         out = {"attribute": self.attribute, "form": self.form, "text": self.text()}
         if self.form == "equality":
             out["category"] = self.category
+        elif self.form == "category_set":
+            out["categories"] = list(self.categories)
         else:
             out["lo"] = self.lo
             out["hi"] = self.hi
@@ -355,8 +364,8 @@ def decode_bounds(l: np.ndarray, u: np.ndarray, space: EncodedSpace) -> list[Rul
 
     Full-range columns emit nothing. Ordered columns emit the inclusive
     span of admitted levels. A one-hot group emits an equality clause when
-    exactly one category remains admissible, nothing when all (or an
-    unrepresentable subset of) categories remain, and raises when no
+    exactly one category remains admissible, a category-set clause when
+    several but not all do, nothing when all do, and raises when no
     category is admissible at all. Category c is admitted when its column
     admits the value 1 and every sibling column admits the value 0.
     """
@@ -389,10 +398,11 @@ def decode_bounds(l: np.ndarray, u: np.ndarray, space: EncodedSpace) -> list[Rul
                 raise InconsistentExplanationError(
                     f"attribute {attr.name!r}: bounds admit no category "
                     "(a selection of only 0s is not satisfiable)")
-            if allowed.sum() == 1:
-                clauses.append(RuleClause(attr.name, "equality",
-                                          category=attr.categories[int(np.argmax(allowed))]))
-            # a 2..k-1 subset has no clause form; bounds keep the constraint
+            admitted = tuple(c for c, ok in zip(attr.categories, allowed) if ok)
+            if len(admitted) == 1:
+                clauses.append(RuleClause(attr.name, "equality", category=admitted[0]))
+            elif len(admitted) < len(allowed):
+                clauses.append(RuleClause(attr.name, "category_set", categories=admitted))
     return clauses
 
 

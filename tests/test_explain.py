@@ -258,3 +258,12 @@ class TestRender:
         assert RuleClause("Sex", "equality", category="F").text() == "Sex = F"
         assert RuleClause("g", "ordered_interval", lo=2.0, hi=4.0).text() == "2.00 ≤ g ≤ 4.00"
         assert RuleClause("g", "ordered_interval", lo=2.0, hi=2.0).text() == "g = 2.00"
+
+    def test_category_set_text_record_and_satisfaction(self):
+        from maire.schema import RuleClause
+        clause = RuleClause("region", "category_set", categories=("north", "east"))
+        assert clause.text() == "region ∈ {north, east}"
+        assert clause.to_dict() == {"attribute": "region", "form": "category_set",
+                                    "text": "region ∈ {north, east}",
+                                    "categories": ["north", "east"]}
+        assert clause.satisfied("east") and not clause.satisfied("south")

@@ -32,6 +32,11 @@ class TestLoadTable:
         assert table.columns[0].tolist() == [17.0, 30.0, 43.0]
         assert table.columns[1].tolist() == ["M", "F", "M"]
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, people_schema):
+        # spreadsheet "CSV UTF-8" exports start with a BOM
+        path = write(tmp_path, "t.csv", "\ufeffAge,Sex\n17,M\n30,F\n")
+        assert load_table(path, people_schema).columns[0].tolist() == [17.0, 30.0]
+
     def test_unknown_category_names_cell(self, tmp_path, people_schema):
         path = write(tmp_path, "t.csv", "Age,Sex\n17,M\n30,X\n")
         with pytest.raises(LoadError, match=r"row 1.*Sex.*'X'"):
@@ -94,6 +99,10 @@ class TestLoadSchema:
         ]}""")
         attrs = load_schema(path)
         assert [a.kind for a in attrs] == ["continuous", "ordered_discrete", "categorical"]
+
+    def test_byte_order_mark(self, tmp_path):
+        path = write(tmp_path, "s.json", '\ufeff{"attributes": [{"name": "Age", "kind": "continuous"}]}')
+        assert [a.name for a in load_schema(path)] == ["Age"]
 
     def test_missing_file(self):
         with pytest.raises(LoadError, match="nope.json"):
@@ -337,6 +346,15 @@ class TestDecodeBounds:
         clauses = decode_bounds(l, u, space)
         assert [c.category for c in clauses] == ["M"]
 
+    def test_one_hot_strict_subset_lists_categories_in_declared_order(self):
+        schema = [AttributeSchema(name="region", kind="categorical",
+                                  categories=("north", "south", "east"))]
+        space = encode(RawTable(schema, [np.asarray(["north", "south", "east"], dtype=object)]))
+        # south's column excludes the value 1, so north and east remain
+        clauses = decode_bounds(np.zeros(3), np.array([1.0, 0.4, 1.0]), space)
+        assert [(c.form, c.categories) for c in clauses] == [("category_set", ("north", "east"))]
+        assert clauses[0].text() == "region ∈ {north, east}"
+
     def test_no_admissible_category_raises(self):
         space = self.make_space()
         l = np.array([0.0, 0.0, 0.0, 0.0])
@@ -415,14 +433,14 @@ class TestRoundTrip:
         schema = [
             AttributeSchema(name="a", kind="continuous"),
             AttributeSchema(name="g", kind="ordered_discrete", levels=(10, 20, 30)),
-            AttributeSchema(name="c", kind="categorical", categories=("x", "y", "z")),
+            AttributeSchema(name="c", kind="categorical", categories=("w", "x", "y", "z")),
         ]
         for trial in range(20):
             n = 150
             table = RawTable(schema, [
                 rng.random(n) * 9 + 1,
                 rng.choice([10.0, 20.0, 30.0], n),
-                np.asarray(rng.choice(["x", "y", "z"], n), dtype=object),
+                np.asarray(rng.choice(["w", "x", "y", "z"], n), dtype=object),
             ])
             space = encode(table)
             d = space.matrix.shape[1]
@@ -431,14 +449,20 @@ class TestRoundTrip:
             # anchor to a random row so one-hot groups stay consistent
             anchor = space.matrix[rng.integers(n)]
             l, u = np.minimum(l, anchor), np.maximum(u, anchor)
+            if trial % 2:
+                # admit a strict subset of two or more of the categories
+                cols = space.columns_of(2)
+                keep = rng.permutation(cols.size)[:rng.integers(2, cols.size)]
+                l[cols] = 0.0
+                u[cols] = 0.99 * rng.random(cols.size)
+                u[cols[keep]] = 1.0
             clauses = decode_bounds(l, u, space)
             mask = inside_mask(BoxBounds(l, u), space.matrix)
-            for i in np.nonzero(mask)[0]:
-                row = table.row(int(i))
-                by_name = dict(zip([s.name for s in schema], row))
-                for clause in clauses:
-                    assert clause.satisfied(by_name[clause.attribute]), (
-                        trial, i, clause.text(), by_name)
+            for i in range(n):
+                by_name = dict(zip([s.name for s in schema], table.row(i)))
+                # inside the box exactly when every clause holds
+                satisfied = all(c.satisfied(by_name[c.attribute]) for c in clauses)
+                assert satisfied == mask[i], (trial, i, [c.text() for c in clauses], by_name)
 
     def test_full_range_always_empty_clause_list(self):
         rng = np.random.default_rng(4)
