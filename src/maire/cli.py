@@ -145,23 +145,21 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _optimizer_config(args, containment_snap: bool) -> OptimizerConfig:
+def _config(args) -> OptimizerConfig:
+    """The run's ascent settings, built and checked before any file is read."""
+    if getattr(args, "threads", 1) != 1:
+        log.warning("--threads %d ignored: anchors are stepped in lockstep in one thread",
+                    args.threads)
     return OptimizerConfig(
         precision_threshold=args.precision,
         learning_rate=args.lr,
         max_iters=args.iters,
         lambda1=args.lambda1,
         lambda2=args.lambda2,
-        containment_snap=containment_snap,
+        # figure mode shows the raw optimizer outcome: containment comes from
+        # the lambda2 penalty alone, never from the final snap
+        containment_snap=args.command != "synth" and not args.no_containment_snap,
     )
-
-
-def _anchors_config(args) -> OptimizerConfig:
-    """Config of the subcommands that explain many anchors at once."""
-    if args.threads != 1:
-        log.warning("--threads %d ignored: anchors are stepped in lockstep in one thread",
-                    args.threads)
-    return _optimizer_config(args, not args.no_containment_snap)
 
 
 def _query_json(text: str) -> list:
@@ -194,11 +192,16 @@ def _load_tabular(args) -> tuple:
     return space, provider, table
 
 
-def _labels(args) -> tuple:
-    """(space, labels) from the data flags, the provider closed."""
+def _explain_anchors(args, cfg: OptimizerConfig, count: int, **options) -> tuple:
+    """(space, labels, anchors, explanations): label the table, draw ``count``
+    anchor rows with --seed and explain them in lockstep."""
     space, provider, _ = _load_tabular(args)
     with provider:
-        return space, predict_batch(provider, space.matrix)
+        labels = predict_batch(provider, space.matrix)
+    n = space.matrix.shape[0]
+    anchors = np.random.default_rng(args.seed).choice(n, size=min(count, n), replace=False)
+    expls = explain_many(space.matrix[anchors], space, labels, labels[anchors], cfg, **options)
+    return space, labels, anchors, expls
 
 
 def _write_explanation(expl: Explanation, out_dir: Path, stem: str, trace: bool) -> None:
@@ -214,14 +217,14 @@ def _write_explanation(expl: Explanation, out_dir: Path, stem: str, trace: bool)
     print(expl.rule_text())
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(args, cfg: OptimizerConfig) -> int:
     space, provider, table = _load_tabular(args)
     with provider:
         if args.query_row is not None:
             if not 0 <= args.query_row < table.n_rows:
                 raise MaireError(f"--query-row {args.query_row} outside table of {table.n_rows} rows")
             q = space.matrix[args.query_row].copy()
-            query_raw = [_jsonable(v) for v in table.row(args.query_row)]
+            query_raw = table.row(args.query_row)
         else:
             values = _query_json(args.query_json)
             try:
@@ -231,20 +234,13 @@ def cmd_explain(args) -> int:
             query_raw = values
         labels = predict_batch(provider, space.matrix)
         query_label = int(predict_batch(provider, q[None, :])[0])
-    cfg = _optimizer_config(args, not args.no_containment_snap)
     expl = explain_encoded(q, space, labels, query_label, cfg,
                            max_attrs=args.max_attrs, query_raw=query_raw)
     _write_explanation(expl, Path(args.out_dir), "explanation", args.trace)
     return EXIT_OK if expl.feasible else EXIT_INFEASIBLE
 
 
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    return v
-
-
-def cmd_synth(args) -> int:
+def cmd_synth(args, cfg: OptimizerConfig) -> int:
     shape, space, labels = synthetic_dataset(args.shape, args.n_samples, args.seed)
     if args.query_json:
         values = _query_json(args.query_json)
@@ -257,9 +253,6 @@ def cmd_synth(args) -> int:
     else:
         q = np.asarray(DEFAULT_QUERIES[args.shape], dtype=np.float64)
     query_label = int(SyntheticOracle(shape).predict(q[None, :])[0])
-    # figure mode shows the raw optimizer outcome: containment comes from the
-    # lambda2 penalty alone, never from the final snap
-    cfg = _optimizer_config(args, containment_snap=False)
     expl = explain_encoded(q, space, labels, query_label, cfg,
                            max_attrs=args.max_attrs, query_raw=[float(v) for v in q])
     out_dir = Path(args.out_dir)
@@ -270,15 +263,9 @@ def cmd_synth(args) -> int:
     return EXIT_OK if expl.feasible else EXIT_INFEASIBLE
 
 
-def cmd_bounds_audit(args) -> int:
+def cmd_bounds_audit(args, cfg: OptimizerConfig) -> int:
     constants = ApproxConstants(c1=args.c1, c2=args.c2, cl=args.cl, ch=args.ch)
-    space, labels = _labels(args)
-    cfg = _anchors_config(args)
-    rng = np.random.default_rng(args.seed)
-    n, d = space.matrix.shape
-    picks = rng.choice(n, size=min(args.queries, n), replace=False)
-
-    expls = explain_many(space.matrix[picks], space, labels, labels[picks], cfg, k=constants)
+    space, labels, picks, expls = _explain_anchors(args, cfg, args.queries, k=constants)
     cov = np.array([e.coverage for e in expls])
     pre = np.array([np.nan if e.precision is None else e.precision for e in expls])
     cov_hat, pre_hat = soft_measures([e.bounds for e in expls], space.matrix, labels,
@@ -288,7 +275,8 @@ def cmd_bounds_audit(args) -> int:
         "queries": int(len(picks)),
         "mse_coverage": float(np.mean((cov - cov_hat) ** 2)),
         "mse_precision": float(np.mean(pre_gaps)) if pre_gaps.size else None,
-        "audit": audit_bounds(cov, pre, cov_hat, pre_hat, d, constants).to_dict(),
+        "audit": audit_bounds(cov, pre, cov_hat, pre_hat, space.matrix.shape[1],
+                              constants).to_dict(),
     }
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,18 +287,13 @@ def cmd_bounds_audit(args) -> int:
     return EXIT_OK
 
 
-def cmd_global(args) -> int:
-    space, labels = _labels(args)
-    cfg = _anchors_config(args)
-    rng = np.random.default_rng(args.seed)
-    n = space.matrix.shape[0]
-    anchors = [int(i) for i in rng.choice(n, size=min(args.anchors, n), replace=False)]
-    candidates = explain_many(space.matrix[anchors], space, labels, labels[anchors], cfg,
-                              max_attrs=args.max_attrs)
+def cmd_global(args, cfg: OptimizerConfig) -> int:
+    space, labels, anchors, candidates = _explain_anchors(args, cfg, args.anchors,
+                                                          max_attrs=args.max_attrs)
 
     budget = args.budget if args.budget is not None else len(candidates)
     selection = msd_select(candidates, space.matrix, labels, budget)
-    selection.anchor_set = anchors
+    selection.anchor_set = anchors.tolist()
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -323,6 +306,10 @@ def cmd_global(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"explain": cmd_explain, "synth": cmd_synth, "bounds-audit": cmd_bounds_audit,
+             "global": cmd_global}
+
+
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     try:
@@ -330,13 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has printed the help or the usage error
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        if args.command == "explain":
-            return cmd_explain(args)
-        if args.command == "synth":
-            return cmd_synth(args)
-        if args.command == "bounds-audit":
-            return cmd_bounds_audit(args)
-        return cmd_global(args)
+        return _COMMANDS[args.command](args, _config(args))
     except (MaireError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

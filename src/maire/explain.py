@@ -218,8 +218,8 @@ def explain(
 ) -> Explanation:
     """Explain the provider's decision at ``query`` against a raw table."""
     space = encode(table, schema)
+    q = space.encode_instance(query)  # a bad query fails before any row is labelled
     labels = predict_batch(provider, space.matrix)
-    q = space.encode_instance(query)
     query_label = int(predict_batch(provider, q[None, :])[0])
     return explain_encoded(q, space, labels, query_label, cfg, k, max_attrs,
                            query_raw=list(query))

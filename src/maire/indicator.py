@@ -252,7 +252,12 @@ class BoxStats:
         return t, inside, tz
 
     def membership(self, l: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Soft membership h of every row in each box, (A, N)."""
+        """Soft membership h of every row in each box, (A, N).
+
+        Per axis j the row contributes gamma(x_j - l_j) (soft x > l) and
+        gamma(u_j - x_j + cl) (soft u >= x); the 2D values are combined by a
+        soft AND, gamma(mean - ch).
+        """
         return _gamma_slope(self._forward(l, u)[0], self.k)[0]
 
     def evaluate(self, l: np.ndarray, u: np.ndarray, match: np.ndarray) -> BoxPass:
@@ -299,19 +304,9 @@ class BoxStats:
         return np.add.reduce(inside, axis=1), np.add.reduce(inside & (match > 0.5), axis=1)
 
 
-def membership_values(b: BoxBounds, points: np.ndarray, k: ApproxConstants) -> np.ndarray:
-    """Soft membership h for every row of ``points``.
-
-    Per axis j the point contributes gamma(x_j - l_j) (soft x > l) and
-    gamma(u_j - x_j + cl) (soft u >= x); the 2D values are combined by a
-    soft AND, gamma(mean - ch).
-    """
-    return BoxStats(points, k).membership(b.l[None], b.u[None])[0]
-
-
 def membership_h(b: BoxBounds, x: np.ndarray, k: ApproxConstants = ApproxConstants()) -> float:
     """Soft membership of a single point in the box."""
-    return float(membership_values(b, np.asarray(x, dtype=np.float64)[None, :], k)[0])
+    return float(BoxStats(x, k).membership(b.l[None], b.u[None])[0, 0])
 
 
 def cov_exact(b: BoxBounds, points: np.ndarray) -> float:
@@ -335,7 +330,7 @@ def pre_exact_or_none(b: BoxBounds, points: np.ndarray, labels: np.ndarray,
 
 def cov_hat(b: BoxBounds, points: np.ndarray, k: ApproxConstants = ApproxConstants()) -> float:
     """Approximate coverage: mean soft membership."""
-    return float(membership_values(b, points, k).mean())
+    return float(BoxStats(points, k).membership(b.l[None], b.u[None])[0].mean())
 
 
 def soft_measures(boxes: list[BoxBounds], points: np.ndarray, labels: np.ndarray,

@@ -33,6 +33,21 @@ def tabular(tmp_path):
     return str(data), str(schema), inside_row, str(plain)
 
 
+@pytest.fixture
+def marker_predictor(tmp_path):
+    """(--predictor-cmd, marker path): a predictor that creates the marker
+    file as soon as it starts, then labels every point 0."""
+    marker = tmp_path / "started"
+    script = tmp_path / "pred.py"
+    script.write_text(
+        "import json, sys\n"
+        "open(sys.argv[1], 'w').close()\n"
+        "for line in sys.stdin:\n"
+        "    print(json.dumps([0 for _ in json.loads(line)]), flush=True)\n"
+    )
+    return f"{sys.executable} {script} {marker}", marker
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -148,26 +163,45 @@ class TestExplainCommand:
 
     @pytest.mark.parametrize("query", [["--query-row", "7"], ["--query-row", "-1"],
                                        ["--query-json", "[0.5, \"a\"]"]])
-    def test_bad_query_fails_before_the_predictor_starts(self, tmp_path, capsys, query):
+    def test_bad_query_fails_before_the_predictor_starts(self, tmp_path, capsys,
+                                                         marker_predictor, query):
         data = tmp_path / "t.csv"
         data.write_text("x0,x1\n0.1,0.2\n0.5,0.6\n0.9,0.8\n")
         schema = tmp_path / "s.json"
         schema.write_text(json.dumps({"attributes": [
             {"name": "x0", "kind": "continuous"}, {"name": "x1", "kind": "continuous"}]}))
-        marker = tmp_path / "started"
-        script = tmp_path / "pred.py"
-        script.write_text(
-            "import json, sys\n"
-            "open(sys.argv[1], 'w').close()\n"
-            "for line in sys.stdin:\n"
-            "    print(json.dumps([0 for _ in json.loads(line)]), flush=True)\n"
-        )
+        predictor, marker = marker_predictor
         code = run("explain", "--data", str(data), "--schema", str(schema),
-                   "--predictor-cmd", f"{sys.executable} {script} {marker}", *query,
+                   "--predictor-cmd", predictor, *query,
                    "--iters", "5", "--out-dir", str(tmp_path / "o"))
         assert code == 1
         assert query[0] in capsys.readouterr().err
         assert not marker.exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("explain", ["--query-row", "0"]),
+        ("global", ["--anchors", "2"]),
+        ("bounds-audit", ["--queries", "2"]),
+    ])
+    @pytest.mark.parametrize("flag, setting", [
+        (["--lr", "0"], "learning_rate"),
+        (["--precision", "1.5"], "precision_threshold"),
+        (["--lambda1", "-1"], "lambda1"),
+        (["--lambda2", "-1"], "lambda2"),
+    ], ids=["lr", "precision", "lambda1", "lambda2"])
+    def test_bad_setting_fails_before_the_predictor_starts(self, tmp_path, tabular, capsys,
+                                                           marker_predictor, command, extra,
+                                                           flag, setting):
+        _, schema, _, plain = tabular
+        predictor, marker = marker_predictor
+        out = tmp_path / "o"
+        code = run(command, "--data", plain, "--schema", schema,
+                   "--predictor-cmd", predictor, *extra, *flag,
+                   "--iters", "5", "--out-dir", str(out))
+        assert code == 1
+        assert setting in capsys.readouterr().err
+        assert not marker.exists()
+        assert not out.exists()
 
     def test_exactly_one_label_source_required(self, tmp_path, tabular, capsys):
         data, schema, row, plain = tabular

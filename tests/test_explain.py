@@ -9,6 +9,8 @@ from maire import (
     AttributeSchema,
     BoxBounds,
     OptimizerConfig,
+    PredictionProvider,
+    SchemaError,
     StoredColumnProvider,
     cov_exact,
     explain,
@@ -176,6 +178,26 @@ class TestExplainPipeline:
         for clause in expl.clauses:
             assert clause.attribute in ("Age", "Sex")
 
+
+    @pytest.mark.parametrize("query", [[30.0, "X"], [30.0]])
+    def test_bad_query_fails_before_any_row_is_labelled(self, query):
+        attrs = [
+            AttributeSchema(name="Age", kind="continuous"),
+            AttributeSchema(name="Sex", kind="categorical", categories=("M", "F")),
+        ]
+        table = RawTable(attrs, [np.array([20.0, 40.0, 60.0]),
+                                 np.array(["M", "F", "M"], dtype=object)])
+
+        class Counting(PredictionProvider):
+            calls = 0
+
+            def predict(self, points):
+                Counting.calls += 1
+                return np.zeros(len(points), dtype=int)
+
+        with pytest.raises(SchemaError):
+            explain(query, table, Counting(), attrs, OptimizerConfig(max_iters=5))
+        assert Counting.calls == 0
 
 def mixed_space(rng, n):
     """Two continuous, one ordered and one categorical attribute."""

@@ -17,7 +17,7 @@ from maire import (
     pre_exact_or_none,
     pre_hat,
 )
-from maire.indicator import coverage_hypothesis_met, membership_values
+from maire.indicator import BoxStats, coverage_hypothesis_met
 
 DEFAULTS = ApproxConstants()
 
@@ -255,7 +255,7 @@ class TestMembershipValuesShape:
         rng = np.random.default_rng(9)
         X = rng.random((20, 3))
         b = BoxBounds(rng.random(3) * 0.4, 0.6 + rng.random(3) * 0.4)
-        batch = membership_values(b, X, DEFAULTS)
+        batch = BoxStats(X, DEFAULTS).membership(b.l[None], b.u[None])[0]
         singles = [membership_h(b, x) for x in X]
         np.testing.assert_allclose(batch, singles, atol=1e-14)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maire import ApproxConstants, BoxBounds, OptimizerConfig, cov_hat, gradient, objective, pre_hat
-from maire.indicator import LEVEL_LIMIT, BoxStats, membership_values, soft_measures
+from maire.indicator import LEVEL_LIMIT, BoxStats, soft_measures
 
 # the package exports a function of the same name
 optimize_module = importlib.import_module("maire.optimize")
@@ -158,7 +158,7 @@ def test_soft_measures_match_reference(table, mode, scaled):
     l, u = draw_box(mode, X, rng)
     b = BoxBounds(l, u)
     h = ref_membership(l, u, X, k)
-    close(membership_values(b, X, k), h)
+    close(BoxStats(X, k).membership(b.l[None], b.u[None])[0], h)
     close(cov_hat(b, X, k), h.mean())
     match = labels == 1
     close(pre_hat(b, X, labels, 1, k), (h * match).sum() / max(h.sum(), 1e-300))
@@ -176,7 +176,7 @@ def test_soft_measures_of_many_boxes_equal_one_box_measures(table, modes, scaled
     got = soft_measures(boxes, X, labels, query_labels, k)
     assert got.shape == (2, len(boxes))
     for i, (b, label) in enumerate(zip(boxes, query_labels)):
-        h = membership_values(b, X, k)
+        h = BoxStats(X, k).membership(b.l[None], b.u[None])[0]
         match = (labels == label).astype(np.float64)
         assert got[0, i] == cov_hat(b, X, k)
         assert got[1, i] == pre_hat(b, X, labels, label, k)
