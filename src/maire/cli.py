@@ -50,14 +50,22 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
                    help="seconds allowed for each predictor reply")
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (np.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
-    return value
+def _finite_float(test, wording: str):
+    """argparse type: a finite number for which ``test`` holds."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not (np.isfinite(value) and test(value)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {wording}, got {text}")
+        return value
+    return parse
+
+
+_positive_float = _finite_float(lambda v: v > 0.0, "above 0")
+_nonnegative_float = _finite_float(lambda v: v >= 0.0, "at least 0")
+_precision = _finite_float(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
 def _int_at_least(minimum: int):
@@ -78,11 +86,11 @@ _positive_int = _int_at_least(1)
 
 # the run flags; each subcommand registers the ones it reads
 _RUN_FLAGS = {
-    "--precision": dict(type=float, default=0.95, help="precision threshold P"),
+    "--precision": dict(type=_precision, default=0.95, help="precision threshold P"),
     "--max-attrs": dict(type=_positive_int, default=None, help="max clauses K"),
-    "--lambda1": dict(type=float, default=5.0),
-    "--lambda2": dict(type=float, default=5.0),
-    "--lr": dict(type=float, default=0.01),
+    "--lambda1": dict(type=_nonnegative_float, default=5.0),
+    "--lambda2": dict(type=_nonnegative_float, default=5.0),
+    "--lr": dict(type=_positive_float, default=0.01),
     "--iters": dict(type=_positive_int, default=2500),
     "--seed": dict(type=_int_at_least(0), default=0,
                    help="seed of the synthetic data and of the query and anchor draws"),

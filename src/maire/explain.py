@@ -14,7 +14,14 @@ import numpy as np
 
 from .blackbox import PredictionProvider, predict_batch
 from .indicator import ApproxConstants, BoxBounds, BoxStats, cov_exact, pre_exact_or_none
-from .optimize import OptimizerConfig, OptimizationTrace, initial_bounds, optimize, optimize_many
+from .optimize import (
+    BLOCK_BYTES,
+    OptimizationTrace,
+    OptimizerConfig,
+    initial_bounds,
+    optimize,
+    optimize_many,
+)
 from .schema import (
     AttributeSchema,
     EncodedSpace,
@@ -22,7 +29,6 @@ from .schema import (
     RuleClause,
     decode_bounds,
     encode,
-    nontrivial_attributes,
     snap_discrete,
 )
 
@@ -78,53 +84,100 @@ def _eliminate(
     removed per step: the coverage-maximizing removal among those keeping
     precision >= threshold, else the one losing the least precision. Once
     at or under the cap, removals continue only while some removal strictly
-    increases coverage at precision >= threshold. Each step counts every
-    candidate at once: after widening attribute a, a row lies inside exactly
-    when a is the only attribute it violates.
+    increases coverage at precision >= threshold. Returns the widened
+    bounds, the names of the removed attributes in order and the coverage
+    after each removal. This is the one-box case of ``_eliminate_many``.
     """
-    l = l.copy()
-    u = u.copy()
-    n = len(X)
-    member = np.eye(len(space.attributes))[space.attr_of]  # (columns, attrs) one-hot
-    out = (((X < l) | (X > u)) @ member).T > 0  # (attrs, N): row outside on attribute
-    violations = out.sum(axis=0)  # per row: number of violated attributes
-    active = np.asarray(nontrivial_attributes(l, u, space), dtype=np.intp)
-    order: list[str] = []
-    coverage_path: list[float] = []
+    L, U, orders, paths = _eliminate_many(l[None], u[None], space, np.ascontiguousarray(X.T),
+                                          np.asarray(match, dtype=bool)[None], threshold,
+                                          max_attrs)
+    return L[0], U[0], orders[0], paths[0]
 
-    def measure(inside):
+
+def _eliminate_many(
+    L: np.ndarray,
+    U: np.ndarray,
+    space: EncodedSpace,
+    columns: np.ndarray,
+    match: np.ndarray,
+    threshold: float,
+    max_attrs: int,
+) -> tuple[np.ndarray, np.ndarray, list[list[str]], list[list[float]]]:
+    """``_eliminate`` for A boxes at once: (A, D) bounds, the data as
+    (D, N) columns and (A, N) bool match rows in, the widened bounds and
+    per-box orders and coverage paths out.
+
+    The boxes step together until none is left running. Each step counts
+    every candidate of every running box at once: after widening attribute
+    a, a row lies inside exactly when a is the only attribute it violates.
+    Each box then picks as ``lexsort`` would rank its candidates: removals
+    in the pool first, then by larger coverage, smaller precision loss and
+    lower attribute index (or, where no forced removal keeps precision, by
+    smaller loss, then larger coverage and lower index).
+    """
+    a, n = match.shape
+    names = [attr.name for attr in space.attributes]
+    starts = np.searchsorted(space.attr_of, np.arange(len(names)))  # each attribute's first column
+    # out[i, j, r]: row r lies outside box i on attribute j. Built from bool
+    # comparisons one column at a time, so no temporary spans two columns
+    out = np.zeros((a, len(names), n), dtype=bool)
+    for c, j in enumerate(space.attr_of):
+        out[:, j] |= columns[c] < L[:, c, None]
+        out[:, j] |= columns[c] > U[:, c, None]
+    # the attributes that constrain each box
+    active = np.logical_or.reduceat((L > 0.0) | (U < 1.0), starts, axis=1)
+    # (A, N): attributes each row violates, in the smallest integer that holds them
+    violations = out.sum(axis=1, dtype=np.min_scalar_type(len(names)))
+    removed = np.zeros_like(active)
+    orders: list[list[str]] = [[] for _ in range(a)]
+    paths: list[list[float]] = [[] for _ in range(a)]
+
+    def measure(inside, match):
         """Coverage, precision (0 where empty) and non-emptiness of (..., N)
-        row masks."""
+        row masks; overwrites ``inside``."""
         n_in = inside.sum(axis=-1)
-        pre = np.where(n_in > 0, (inside & match).sum(axis=-1) / np.maximum(n_in, 1), 0.0)
+        n_match = np.logical_and(inside, match, out=inside).sum(axis=-1)
+        pre = np.where(n_in > 0, n_match / np.maximum(n_in, 1), 0.0)
         return n_in / n, pre, n_in > 0
 
-    while active.size:
-        forced = active.size > max_attrs
-        cov_now, pre_now, _ = measure(violations == 0)
-        cov, pre, nonempty = measure(violations == out[active])
-        loss = pre_now - pre
-        keeps = nonempty & (pre >= threshold)
-        if forced and not keeps.any():
-            # no removal preserves precision: lose the least of it
-            pick = np.lexsort((active, -cov, loss))[0]
-        else:
-            # max coverage gain; ties by smaller precision loss, then index
-            pool = keeps if forced else keeps & (cov > cov_now)
-            if not pool.any():
-                break
-            pick = np.lexsort((active, loss, -cov, ~pool))[0]
+    run, ids = np.arange(a), np.arange(len(names))  # running boxes, candidate attributes
+    while True:
+        # keep the boxes still running and the attributes one of them can remove
+        rows, cols = active.any(axis=1), active.any(axis=0)
+        if not rows.all():
+            run, out, violations, active, match = (
+                run[rows], out[rows], violations[rows], active[rows], match[rows])
+        if not cols.all():
+            ids, out, active = ids[cols], out[:, cols], active[:, cols]
+        if not run.size:
+            break
+        forced = active.sum(axis=1) > max_attrs
+        cov_now, pre_now, _ = measure(violations == 0, match)
+        cov, pre, nonempty = measure(violations[:, None] == out, match[:, None])
+        loss = pre_now[:, None] - pre
+        keeps = active & nonempty & (pre >= threshold)
+        # no forced removal preserves precision: lose the least of it
+        least = (forced & ~keeps.any(axis=1))[:, None]
+        # otherwise the largest coverage gain, kept to gains once under the cap
+        pool = np.where(least, active, keeps & (forced[:, None] | (cov > cov_now[:, None])))
+        ranked = pool
+        for key in (np.where(least, loss, -cov), np.where(least, -cov, loss)):
+            ranked = ranked & (key == np.where(ranked, key, np.inf).min(axis=1, keepdims=True))
+        going = pool.any(axis=1)
+        active[~going] = False  # nothing left to remove: the box stops
+        going = np.flatnonzero(going)
+        pick = ranked[going].argmax(axis=1)  # the lowest index among the ties
 
-        attr = active[pick]
-        cols = space.attr_of == attr
-        l[cols] = 0.0
-        u[cols] = 1.0
-        violations -= out[attr]
-        active = np.delete(active, pick)
-        order.append(space.attributes[attr].name)
-        coverage_path.append(float(cov[pick]))
+        violations[going] -= out[going, pick]
+        active[going, pick] = False
+        removed[run[going], ids[pick]] = True
+        for i, attr, c in zip(run[going].tolist(), ids[pick].tolist(),
+                              cov[going, pick].tolist()):
+            orders[i].append(names[attr])
+            paths[i].append(c)
 
-    return l, u, order, coverage_path
+    wide = removed[:, space.attr_of]
+    return np.where(wide, 0.0, L), np.where(wide, 1.0, U), orders, paths
 
 
 def _attr_cap(max_attrs: int | None, space: EncodedSpace) -> int:
@@ -135,37 +188,52 @@ def _attr_cap(max_attrs: int | None, space: EncodedSpace) -> int:
 
 
 def _finish(
-    box: BoxBounds,
-    trace: OptimizationTrace,
-    q: np.ndarray,
+    runs: list[tuple[BoxBounds, OptimizationTrace]],
+    Q: np.ndarray,
     space: EncodedSpace,
     labels: np.ndarray,
-    query_label: int,
+    query_labels: list[int],
     threshold: float,
     cap: int,
-    query_raw: list | None,
-) -> Explanation:
-    """Snap, eliminate and decode an optimized box, and measure the rule
-    exactly."""
+    query_raws: list,
+) -> list[Explanation]:
+    """Snap, eliminate and decode optimized boxes, and measure each rule
+    exactly. The eliminations run in lockstep, in blocks of at most
+    ``BLOCK_BYTES`` of work arrays."""
     X = space.matrix
-    box = snap_discrete(box, space)
-    match = np.asarray(labels) == query_label
-    l, u, order, _ = _eliminate(box.l, box.u, space, X, match, threshold, cap)
-    bounds = BoxBounds(l, u)
-    clauses = decode_bounds(bounds.l, bounds.u, space)
-    pre = pre_exact_or_none(bounds, X, labels, query_label)
-    return Explanation(
-        bounds=bounds,
-        clauses=clauses,
-        coverage=cov_exact(bounds, X),
-        precision=pre,
-        query_label=int(query_label),
-        feasible=pre is not None and pre >= threshold,
-        query_encoded=q,
-        query_raw=query_raw,
-        elimination_order=order,
-        trace=trace,
-    )
+    labels = np.asarray(labels)
+    boxes = [snap_discrete(box, space) for box, _ in runs]
+    # a box's work arrays in the elimination: its (attrs, N) outside mask, a
+    # step's candidate mask and a copy made when boxes drop out, all bool,
+    # and a few per-row arrays
+    size = max(1, BLOCK_BYTES // (len(X) * (3 * len(space.attributes) + 16)))
+    columns = np.ascontiguousarray(X.T)  # contiguous rows, for the per-column comparisons
+    eliminated = []
+    for s in range(0, len(boxes), size):
+        block = boxes[s:s + size]
+        match = labels == np.asarray(query_labels[s:s + size])[:, None]
+        L, U, orders, _ = _eliminate_many(np.stack([b.l for b in block]),
+                                          np.stack([b.u for b in block]), space, columns,
+                                          match, threshold, cap)
+        eliminated += zip(L, U, orders)
+    expls = []
+    for (l, u, order), (_, trace), q, label, raw in zip(eliminated, runs, Q, query_labels,
+                                                       query_raws):
+        bounds = BoxBounds(l, u)
+        pre = pre_exact_or_none(bounds, X, labels, label)
+        expls.append(Explanation(
+            bounds=bounds,
+            clauses=decode_bounds(bounds.l, bounds.u, space),
+            coverage=cov_exact(bounds, X),
+            precision=pre,
+            query_label=int(label),
+            feasible=pre is not None and pre >= threshold,
+            query_encoded=q,
+            query_raw=raw,
+            elimination_order=order,
+            trace=trace,
+        ))
+    return expls
 
 
 def explain_encoded(
@@ -181,9 +249,9 @@ def explain_encoded(
     """Explanation pipeline over an already-encoded dataset."""
     cap = _attr_cap(max_attrs, space)
     q = np.asarray(query_encoded, dtype=np.float64)
-    box, trace = optimize(initial_bounds(q), q, space.matrix, labels, query_label, cfg, k)
-    return _finish(box, trace, q, space, labels, query_label, cfg.precision_threshold, cap,
-                   query_raw)
+    run = optimize(initial_bounds(q), q, space.matrix, labels, query_label, cfg, k)
+    return _finish([run], q[None], space, labels, [int(query_label)], cfg.precision_threshold,
+                   cap, [query_raw])[0]
 
 
 def explain_many(
@@ -196,15 +264,15 @@ def explain_many(
     max_attrs: int | None = None,
 ) -> list[Explanation]:
     """``explain_encoded`` for each row of ``queries_encoded``, with the
-    optimizations stepped in lockstep over one kernel; each explanation
+    optimizations and the eliminations stepped in lockstep; each explanation
     equals the one ``explain_encoded`` gives for its query alone."""
     cap = _attr_cap(max_attrs, space)
     Q = np.asarray(queries_encoded, dtype=np.float64)
     query_labels = [int(v) for v in query_labels]
     runs = optimize_many([initial_bounds(q) for q in Q], Q, BoxStats(space.matrix, k), labels,
                          query_labels, cfg)
-    return [_finish(box, trace, q, space, labels, label, cfg.precision_threshold, cap, None)
-            for (box, trace), q, label in zip(runs, Q, query_labels)]
+    return _finish(runs, Q, space, labels, query_labels, cfg.precision_threshold, cap,
+                   [None] * len(Q))
 
 
 def explain(

@@ -200,7 +200,10 @@ class BoxStats:
         self.L = (columns[self.level_col] == self.level_val[:, None]).astype(np.float64)
 
         w = self.dense.size
-        self._T = np.empty((0, 4 * w, n))  # per box: tanh of the 2w comparisons, then their sgn
+        # the dense block's pass buffer, (4w, A, N): tanh of the 2w
+        # comparisons of each box, then their sgn
+        self._buf = np.empty(0)
+        self._T = self._buf.reshape(4 * w, 0, n)
         self._coef = np.repeat([0.5 * k.c1, 0.5 * k.c3], 2 * w)
         # gradient columns of each block in the (l, u) layout, and the signed
         # slope factor d gamma/dz times dz/dbound of each
@@ -223,18 +226,25 @@ class BoxStats:
         inside = True
         tz = None
         if w:
-            if self._T.shape[0] < a:
-                self._T = np.empty((a, 4 * w, self.n))
-            T = self._T[:a]
-            Z = T[:, :2 * w]
-            np.subtract(self.Xd, l[:, self.dense, None], out=Z[:, :w])
-            np.subtract(u[:, self.dense, None], self.Xd, out=Z[:, w:])
-            inside = Z.min(axis=1) >= 0.0
-            Z[:, w:] += k.cl
-            np.sign(Z, out=T[:, 2 * w:])
+            if self._T.shape[1] != a:
+                size = 4 * w * a * self.n
+                if self._buf.size < size:
+                    self._buf = np.empty(size)
+                # comparison-major, so each elementwise step runs over one
+                # contiguous array whatever A is
+                self._T = self._buf[:size].reshape(4 * w, a, self.n)
+            T = self._T
+            Z = T[:2 * w]
+            np.subtract(self.Xd[:, None], l.T[self.dense, :, None], out=Z[:w])
+            np.subtract(u.T[self.dense, :, None], self.Xd[:, None], out=Z[w:])
+            inside = Z.min(axis=0) >= 0.0
+            Z[w:] += k.cl
+            np.sign(Z, out=T[2 * w:])
             Z *= 0.5 * k.c2
             np.tanh(Z, out=Z)
-            rows = self._coef @ T
+            # one product per box, as for a single box: a single product over
+            # all A*N rows would round some rows differently
+            rows = self._coef @ T.transpose(1, 0, 2)
         if self.level_val.size:
             c = self.level_col
             z = np.empty((a, 2, self.level_val.size))
@@ -272,10 +282,10 @@ class BoxStats:
         grad = np.empty((a, 2, 2 * self.d))
         w = self.dense.size
         if w:
-            T2 = self._T[:a, :2 * w]
+            T2 = self._T[:2 * w]
             np.square(T2, out=T2)
             grad[:, :, self._dense_lu] = self._dense_scale * (
-                W.sum(axis=2)[:, :, None] - W @ T2.transpose(0, 2, 1))
+                W.sum(axis=2)[:, :, None] - W @ T2.transpose(1, 2, 0))
         if self.level_val.size:
             # per level and side: the weights of its rows times the slope there
             per_level = (W @ self.L.T)[:, :, None, :] * (1.0 - tz * tz)[:, None]

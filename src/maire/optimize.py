@@ -85,9 +85,10 @@ class OptimizationTrace:
 
 
 # Boxes step together in blocks whose work arrays (above all the kernel's
-# dense (A, 4w, N) buffer) fit in this many bytes. Past a few MB a block
-# gains no speed, since a numpy call's fixed cost is already small against
-# its work, but it keeps adding resident memory.
+# dense (4w, A, N) buffer, and in the elimination the (A, attrs, N) outside
+# masks) fit in this many bytes. Past a few MB a block gains no speed, since
+# a numpy call's fixed cost is already small against its work, but it keeps
+# adding resident memory.
 BLOCK_BYTES = 2 << 20
 # Iterations stepped between the passes that work out objectives and trace
 # values and rank iterates.

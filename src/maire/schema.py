@@ -9,6 +9,7 @@ a box boundary at initialization; categorical attributes expand to one-hot
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -267,6 +268,21 @@ class EncodedSpace:
     normalizers: dict[int, tuple[float, float]]
     clamp_warnings: int = 0
 
+    @functools.cached_property
+    def _discrete_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """The discrete (ordered and one-hot) columns and their declared
+        positions, one NaN-padded row per column."""
+        cols, levels = [], []
+        for j, i in enumerate(self.attr_of):
+            attr = self.attributes[i]
+            if attr.kind != "continuous":
+                cols.append(j)
+                levels.append(_positions(attr) if attr.kind == "ordered_discrete" else (0.0, 1.0))
+        P = np.full((len(cols), max(map(len, levels), default=0)), np.nan)
+        for row, v in zip(P, levels):
+            row[:len(v)] = v
+        return np.asarray(cols, dtype=np.intp), P
+
     def columns_of(self, attr_index: int) -> np.ndarray:
         """Encoded column indices belonging to one raw attribute."""
         return np.flatnonzero(self.attr_of == attr_index)
@@ -421,19 +437,14 @@ def snap_discrete(bounds: BoxBounds, space: EncodedSpace) -> BoxBounds:
     precision on any dataset, is unchanged. Axes admitting no position are
     left as-is. Continuous axes are untouched.
     """
+    cols, P = space._discrete_positions
     l = bounds.l.copy()
     u = bounds.u.copy()
-    for j, i in enumerate(space.attr_of):
-        attr = space.attributes[i]
-        if attr.kind == "continuous":
-            continue
-        levels = np.asarray(_positions(attr) if attr.kind == "ordered_discrete" else (0.0, 1.0))
-        at_or_above = levels[levels >= l[j]]
-        at_or_below = levels[levels <= u[j]]
-        if at_or_above.size == 0 or at_or_below.size == 0 or at_or_above[0] > at_or_below[-1]:
-            continue  # admits nothing; snapping cannot help
-        l[j] = float(at_or_above[0])
-        u[j] = float(at_or_below[-1])
+    at_or_above = np.where(P >= l[cols, None], P, np.inf).min(axis=1, initial=np.inf)
+    at_or_below = np.where(P <= u[cols, None], P, -np.inf).max(axis=1, initial=-np.inf)
+    snaps = at_or_above <= at_or_below  # else admits nothing; snapping cannot help
+    l[cols[snaps]] = at_or_above[snaps]
+    u[cols[snaps]] = at_or_below[snaps]
     return BoxBounds(l, u)
 
 

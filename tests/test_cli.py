@@ -184,10 +184,10 @@ class TestExplainCommand:
         ("bounds-audit", ["--queries", "2"]),
     ])
     @pytest.mark.parametrize("flag, setting", [
-        (["--lr", "0"], "learning_rate"),
-        (["--precision", "1.5"], "precision_threshold"),
-        (["--lambda1", "-1"], "lambda1"),
-        (["--lambda2", "-1"], "lambda2"),
+        (["--lr", "0"], "argument --lr: must be a finite number above 0, got 0"),
+        (["--precision", "1.5"], "argument --precision: must be a finite number in (0, 1], got 1.5"),
+        (["--lambda1", "-1"], "argument --lambda1: must be a finite number at least 0, got -1"),
+        (["--lambda2", "-1"], "argument --lambda2: must be a finite number at least 0, got -1"),
     ], ids=["lr", "precision", "lambda1", "lambda2"])
     def test_bad_setting_fails_before_the_predictor_starts(self, tmp_path, tabular, capsys,
                                                            marker_predictor, command, extra,
@@ -553,7 +553,9 @@ class TestFlags:
         code = run("synth", "rect", "--n-samples", "200", *flag,
                    "--out-dir", str(tmp_path / "o"))
         assert code == 1
-        assert "must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {flag[0]}: must be a finite number " in err
+        assert f", got {flag[1]}" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])

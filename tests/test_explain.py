@@ -4,6 +4,7 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maire import (
     AttributeSchema,
@@ -15,7 +16,7 @@ from maire import (
     cov_exact,
     explain,
 )
-from maire.explain import Explanation, _eliminate, explain_encoded, explain_many
+from maire.explain import Explanation, _eliminate, _eliminate_many, explain_encoded, explain_many
 from maire.indicator import BoxStats, inside_mask, pre_exact_or_none
 from maire.schema import RawTable, encode, nontrivial_attributes
 from maire.synthetic import synthetic_dataset
@@ -117,6 +118,113 @@ class TestGreedyElimination:
         if "c" in order:
             np.testing.assert_array_equal(new_l[1:], [0, 0, 0])
             np.testing.assert_array_equal(new_u[1:], [1, 1, 1])
+
+
+def reference_eliminate(l, u, space, X, match, threshold, max_attrs):
+    """Greedy elimination of one box, one step at a time: the one-box
+    algorithm that ``_eliminate_many`` batches, kept as its reference."""
+    l = l.copy()
+    u = u.copy()
+    n = len(X)
+    member = np.eye(len(space.attributes))[space.attr_of]  # (columns, attrs) one-hot
+    out = (((X < l) | (X > u)) @ member).T > 0  # (attrs, N): row outside on attribute
+    violations = out.sum(axis=0)
+    active = np.asarray(nontrivial_attributes(l, u, space), dtype=np.intp)
+    order, coverage_path = [], []
+
+    def measure(inside):
+        n_in = inside.sum(axis=-1)
+        pre = np.where(n_in > 0, (inside & match).sum(axis=-1) / np.maximum(n_in, 1), 0.0)
+        return n_in / n, pre, n_in > 0
+
+    while active.size:
+        forced = active.size > max_attrs
+        cov_now, pre_now, _ = measure(violations == 0)
+        cov, pre, nonempty = measure(violations == out[active])
+        loss = pre_now - pre
+        keeps = nonempty & (pre >= threshold)
+        if forced and not keeps.any():
+            pick = np.lexsort((active, -cov, loss))[0]
+        else:
+            pool = keeps if forced else keeps & (cov > cov_now)
+            if not pool.any():
+                break
+            pick = np.lexsort((active, loss, -cov, ~pool))[0]
+        attr = active[pick]
+        cols = space.attr_of == attr
+        l[cols] = 0.0
+        u[cols] = 1.0
+        violations -= out[attr]
+        active = np.delete(active, pick)
+        order.append(space.attributes[attr].name)
+        coverage_path.append(float(cov[pick]))
+    return l, u, order, coverage_path
+
+
+@st.composite
+def elimination_problems(draw):
+    """A small mixed table, boxes on it and an elimination setting.
+
+    Values and bounds come from coarse grids, so candidates often tie on
+    coverage and on precision loss. Boxes may be empty (an inverted axis or
+    no row inside) and may leave attributes at the full range."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["continuous", "ordered_discrete", "categorical"]),
+                          min_size=1, max_size=7))
+    attrs, cols = [], []
+    grid = np.linspace(0.0, 1.0, 5)
+    for j, kind in enumerate(kinds):
+        name = f"a{j}"
+        if kind == "continuous":
+            attrs.append(AttributeSchema(name=name, kind=kind, value_range=(0.0, 1.0)))
+            cols.append(rng.choice(grid, n))
+        elif kind == "ordered_discrete":
+            levels = tuple(range(1, int(rng.integers(2, 5)) + 1))
+            attrs.append(AttributeSchema(name=name, kind=kind, levels=levels))
+            cols.append(rng.choice(np.asarray(levels, dtype=float), n))
+        else:
+            cats = tuple("pqrs"[:int(rng.integers(1, 5))])
+            attrs.append(AttributeSchema(name=name, kind=kind, categories=cats))
+            cols.append(np.asarray(rng.choice(cats, n), dtype=object))
+    space = encode(RawTable(attrs, cols))
+    d = space.matrix.shape[1]
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        mode = draw(st.sampled_from(["grid", "full-range axes", "inverted", "around a row"]))
+        a, b = rng.choice(grid, d), rng.choice(grid, d)
+        l, u = np.minimum(a, b), np.maximum(a, b)
+        if mode == "full-range axes":
+            wide = rng.random(d) < 0.5
+            l[wide], u[wide] = 0.0, 1.0
+        elif mode == "inverted":
+            j = int(rng.integers(d))
+            l[j], u[j] = u[j] + 0.1, l[j]
+            l = np.minimum(l, 1.0)
+        elif mode == "around a row":
+            x = space.matrix[int(rng.integers(n))]
+            l, u = np.minimum(l, x), np.maximum(u, x)
+        boxes.append((l, u))
+    labels = rng.integers(0, 2, (len(boxes), n)).astype(bool)
+    threshold = draw(st.sampled_from([0.5, 0.75, 0.9, 1.0]))
+    return space, boxes, labels, threshold, draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_problems())
+def test_batched_elimination_equals_one_box_reference(problem):
+    space, boxes, match, threshold, cap = problem
+    X = space.matrix
+    L, U, orders, paths = _eliminate_many(np.stack([l for l, _ in boxes]),
+                                          np.stack([u for _, u in boxes]), space, X.T, match,
+                                          threshold, cap)
+    for i, (l, u) in enumerate(boxes):
+        want_l, want_u, want_order, want_path = reference_eliminate(l, u, space, X, match[i],
+                                                                    threshold, cap)
+        np.testing.assert_array_equal(L[i], want_l)
+        np.testing.assert_array_equal(U[i], want_u)
+        assert orders[i] == want_order
+        assert paths[i] == want_path
 
 
 class TestExplainPipeline:
@@ -241,6 +349,7 @@ class TestExplainMany:
             np.testing.assert_allclose(lockstep.bounds.l, one.bounds.l, rtol=0, atol=1e-12)
             np.testing.assert_allclose(lockstep.bounds.u, one.bounds.u, rtol=0, atol=1e-12)
             assert (lockstep.coverage, lockstep.precision) == (one.coverage, one.precision)
+            assert lockstep.elimination_order == one.elimination_order
             assert len(lockstep.trace) == len(one.trace) == cfg.max_iters
             assert lockstep.trace.best_iteration == one.trace.best_iteration
             assert lockstep.trace.feasible == one.trace.feasible
