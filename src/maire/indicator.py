@@ -117,10 +117,22 @@ def _gamma_slope(z: np.ndarray, k: ApproxConstants) -> tuple[np.ndarray, np.ndar
     Unlike the tanh form, tail values keep their relative precision, which
     matters where they are summed directly (the soft AND over rows).
     """
-    e = np.exp(-k.c2 * np.abs(z))
-    r = 1.0 / (1.0 + e)
-    value = k.c1 * np.where(z >= 0.0, r, e * r) + k.c3 * (0.5 * np.sign(z) + 0.5)
-    return value, (k.c1 * k.c2) * (e * r * r)
+    er = np.abs(z)
+    er *= -k.c2
+    np.exp(er, out=er)
+    r = er + 1.0
+    np.divide(1.0, r, out=r)
+    er *= r  # e r = e/(1+e), the sigmoid below zero
+    slope = er * r
+    slope *= k.c1 * k.c2
+    value = np.where(z >= 0.0, r, er)
+    value *= k.c1
+    step = np.sign(z)
+    step *= 0.5
+    step += 0.5
+    step *= k.c3
+    value += step
+    return value, slope
 
 
 def gamma(z: float, k: ApproxConstants = ApproxConstants()) -> float:
@@ -140,15 +152,11 @@ LEVEL_LIMIT = 16
 
 @dataclass
 class BoxPass:
-    """One pass of ``BoxStats`` over A boxes, one entry per box.
-
-    ``grad`` has shape (A, 2, 2D): per box, the derivatives of ``h_sum`` and
-    of ``match_sum`` with respect to the D lower bounds, then the D upper ones.
-    """
+    """The forward pass of ``BoxStats`` over A boxes, one entry per box."""
 
     h_sum: np.ndarray      # (A,) sums of soft memberships, floored at 1e-300
     match_sum: np.ndarray  # (A,) soft memberships summed over label-matching rows
-    grad: np.ndarray
+    slope: np.ndarray      # (A, N) each row's dh/dt / 2D
     n_in: np.ndarray       # (A,) rows inside the box, exactly
     n_match: np.ndarray    # (A,) of those, rows whose label matches
 
@@ -163,12 +171,16 @@ class BoxStats:
     The others (one-hot, ordered and other few-valued columns) form the
     level block: a 0/1 levels-by-rows matrix ``L``, so each level is
     evaluated once and reaches the rows through ``G @ L`` (row sums and
-    violation counts) and ``W @ L.T`` (gradient sums).
+    violation counts) and ``w @ L.T`` (gradient sums).
 
     Per comparison gamma(z) = 1/2 + (c1 tanh(c2 z/2) + c3 sgn z)/2, so the
     row sum of the 2D comparisons is D + (1/2) sum(c1 tanh + c3 sgn), and
-    the slope is (c1 c2/4)(1 - tanh^2). The gradient sums over rows are one
-    product of the (2 x N) weights [dh/dt, dh/dt * match] / 2D with tanh^2.
+    the slope is (c1 c2/4)(1 - tanh^2). ``forward`` gives the soft sums,
+    the exact counts and each row's slope dh/dt / 2D, and keeps the pass's
+    tanh^2. ``backward`` then takes one row of weights w per box and gives
+    sum_rows w * d(row's comparison sum)/d(l, u): for the dense block one
+    product of w with tanh^2. Any gradient that is linear in the rows' dh
+    is one backward pass.
 
     A pass takes (A, D) bounds and, where labels matter, one 0/1 match row
     per box, (A, N). Its products are stacked per box, so each box's results
@@ -270,35 +282,46 @@ class BoxStats:
         """
         return _gamma_slope(self._forward(l, u)[0], self.k)[0]
 
-    def evaluate(self, l: np.ndarray, u: np.ndarray, match: np.ndarray) -> BoxPass:
-        """Soft sums, their gradients and the exact counts in one pass."""
-        k = self.k
+    def forward(self, l: np.ndarray, u: np.ndarray, match: np.ndarray) -> BoxPass:
+        """Soft sums, each row's slope and the exact counts in one pass. The
+        comparisons' tanh^2 (dense) and 1 - tanh^2 (levels) stay in the
+        instance for ``backward``."""
         t, inside, tz = self._forward(l, u)
-        h, slope = _gamma_slope(t, k)
-        a = l.shape[0]
-        W = np.empty((a, 2, self.n))
-        np.multiply(slope, 1.0 / (2.0 * self.d), out=W[:, 0])
-        np.multiply(W[:, 0], match, out=W[:, 1])
-        grad = np.empty((a, 2, 2 * self.d))
+        h, slope = _gamma_slope(t, self.k)
+        slope *= 1.0 / (2.0 * self.d)
         w = self.dense.size
         if w:
             T2 = self._T[:2 * w]
             np.square(T2, out=T2)
-            grad[:, :, self._dense_lu] = self._dense_scale * (
-                W.sum(axis=2)[:, :, None] - W @ T2.transpose(1, 2, 0))
         if self.level_val.size:
-            # per level and side: the weights of its rows times the slope there
-            per_level = (W @ self.L.T)[:, :, None, :] * (1.0 - tz * tz)[:, None]
-            grad[:, :, self._level_lu] = self._level_scale * np.add.reduceat(
-                per_level.reshape(a, 2, -1), self._level_starts, axis=2)
+            self._level_slope = 1.0 - tz * tz
         return BoxPass(
             h_sum=np.maximum(h.sum(axis=1), 1e-300),  # h > 0 except at underflow-extreme c2
             # one BLAS dot per row, as for a single box
             match_sum=(h[:, None, :] @ match[:, :, None])[:, 0, 0],
-            grad=grad,
+            slope=slope,
             n_in=np.add.reduce(inside, axis=1),
             n_match=np.add.reduce(inside & (match > 0.5), axis=1),
         )
+
+    def backward(self, weights: np.ndarray) -> np.ndarray:
+        """sum_rows weights * d(row's comparison sum)/d(l, u) at the
+        bounds of the last ``forward`` pass, for (A, N) weights: an (A, 2D)
+        array, lower bounds first."""
+        a = weights.shape[0]
+        grad = np.empty((a, 2 * self.d))
+        w = self.dense.size
+        W = weights[:, None, :]
+        if w:
+            # sum w (1 - tanh^2), one product per box
+            grad[:, self._dense_lu] = self._dense_scale * (
+                weights.sum(axis=1)[:, None] - (W @ self._T[:2 * w].transpose(1, 2, 0))[:, 0])
+        if self.level_val.size:
+            # per level and side: the weights of its rows times the slope there
+            per_level = (W @ self.L.T) * self._level_slope
+            grad[:, self._level_lu] = self._level_scale * np.add.reduceat(
+                per_level.reshape(a, -1), self._level_starts, axis=1)
+        return grad
 
     def exact(self, l: np.ndarray, u: np.ndarray,
               match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

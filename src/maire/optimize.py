@@ -127,18 +127,28 @@ def _containment(lu: np.ndarray, qq: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return past > 0.0, viol[..., 0] + viol[..., 1]
 
 
-def _gradient(p: BoxPass, past: np.ndarray, cfg: OptimizerConfig, n: int) -> np.ndarray:
-    """Analytic gradient of the objective with respect to (l, u), (A, 2D).
+def _step(stats: BoxStats, lu: np.ndarray, qq: np.ndarray, match: np.ndarray,
+          cfg: OptimizerConfig) -> tuple[BoxPass, np.ndarray]:
+    """One forward and one backward pass at (A, 2D) bounds ``lu``: the
+    pass, and the objective's analytic gradient with respect to (l, u).
 
-    Step terms (the sgn inside gamma and the precision gate) are treated as
-    locally constant, so the gradient is exact everywhere off their jumps.
+    The objective h_sum/N + lambda1 gate match_sum/h_sum is linear in the
+    rows' dh, so its gradient is one backward pass with the weights
+    slope (alpha + beta match): by the quotient rule, beta = lambda1
+    gate/h_sum and alpha = 1/N - beta match_sum/h_sum. Step terms (the sgn
+    inside gamma and the precision gate) are treated as locally constant,
+    so the gradient is exact everywhere off their jumps.
     """
-    gate = _gate(p.n_match, p.n_in, cfg)
-    # pre_hat = match_sum / h_sum, differentiated by the quotient rule
-    h_sum, match_sum = p.h_sum[:, None], p.match_sum[:, None]
-    dpre = (h_sum * p.grad[:, 1] - match_sum * p.grad[:, 0]) * (1.0 / (h_sum * h_sum))
-    return (p.grad[:, 0] / n + (cfg.lambda1 * gate)[:, None] * dpre
-            - cfg.lambda2 * _side(past.shape[-1] // 2) * (past > 0.0))
+    d = stats.d
+    p = stats.forward(lu[:, :d], lu[:, d:], match)
+    beta = cfg.lambda1 * _gate(p.n_match, p.n_in, cfg) / p.h_sum
+    alpha = 1.0 / stats.n - beta * (p.match_sum / p.h_sum)
+    w = match * beta[:, None]
+    w += alpha[:, None]
+    w *= p.slope
+    grad = stats.backward(w)
+    grad -= (cfg.lambda2 * _side(d)) * (_past(lu, qq) > 0.0)
+    return p, grad
 
 
 def _terms(h_sum, match_sum, n_in, n_match, violation, cfg: OptimizerConfig, n: int):
@@ -152,13 +162,12 @@ def _terms(h_sum, match_sum, n_in, n_match, violation, cfg: OptimizerConfig, n: 
     return objective, cov_hat, pre_hat, cov, pre, violation
 
 
-def _pass_one(b, query, data, labels, query_label, k):
-    """Row count, kernel pass and (1, 2D) bounds and queries of one box."""
-    stats = BoxStats(data, k)
+def _one(b, query, data, labels, query_label, k):
+    """Kernel, (1, 2D) bounds and queries and (1, N) match row of one box."""
     match = (np.asarray(labels) == query_label).astype(np.float64)
     q = np.asarray(query, dtype=np.float64)
-    p = stats.evaluate(b.l[None], b.u[None], match[None])
-    return stats.n, p, np.concatenate([b.l, b.u])[None], np.concatenate([q, q])[None]
+    return (BoxStats(data, k), np.concatenate([b.l, b.u])[None], np.concatenate([q, q])[None],
+            match[None])
 
 
 def objective(
@@ -171,9 +180,10 @@ def objective(
     k: ApproxConstants = ApproxConstants(),
 ) -> float:
     """Penalized ascent objective at one set of bounds."""
-    n, p, lu, qq = _pass_one(b, query, data, labels, query_label, k)
+    stats, lu, qq, match = _one(b, query, data, labels, query_label, k)
+    p = stats.forward(lu[:, :b.dim], lu[:, b.dim:], match)
     violation = _containment(lu, qq)[1]
-    return float(_terms(p.h_sum, p.match_sum, p.n_in, p.n_match, violation, cfg, n)[0][0])
+    return float(_terms(p.h_sum, p.match_sum, p.n_in, p.n_match, violation, cfg, stats.n)[0][0])
 
 
 def gradient(
@@ -186,8 +196,7 @@ def gradient(
     k: ApproxConstants = ApproxConstants(),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of the objective w.r.t. (l, u)."""
-    n, p, lu, qq = _pass_one(b, query, data, labels, query_label, k)
-    grad = _gradient(p, _past(lu, qq), cfg, n)[0]
+    grad = _step(*_one(b, query, data, labels, query_label, k), cfg)[1][0]
     return grad[:b.dim], grad[b.dim:]
 
 
@@ -300,8 +309,7 @@ def _ascend(
         best_key[better] = top[better]
         best_iteration[better] = first + row[better]
 
-    p = stats.evaluate(lu[:, :d], lu[:, d:], match)
-    grad = _gradient(p, _past(lu, qq), cfg, n)
+    p, grad = _step(stats, lu, qq, match, cfg)
     outside, violation = _containment(lu, qq)
     _, _, _, cov, pre, _ = _terms(p.h_sum, p.match_sum, p.n_in, p.n_match, violation, cfg, n)
     if np.isnan(pre).any():
@@ -313,12 +321,22 @@ def _ascend(
     for first in range(1, cfg.max_iters + 1, STRETCH):
         sums = []
         for j, it in enumerate(range(first, min(first + STRETCH, cfg.max_iters + 1))):
-            m = b1 * m + (1.0 - b1) * grad
-            v = b2 * v + (1.0 - b2) * (grad * grad)
-            m_hat = m / (1.0 - b1 ** it)
-            v_hat = v / (1.0 - b2 ** it)
-            lu = np.clip(lu + cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS),
-                         0.0, 1.0, out=LU[j])
+            # Adam in place: lu + lr m_hat / (sqrt(v_hat) + eps), clipped to [0, 1]
+            m *= b1
+            m += (1.0 - b1) * grad
+            grad *= grad
+            grad *= 1.0 - b2
+            v *= b2
+            v += grad
+            move = m / (1.0 - b1 ** it)
+            move *= cfg.learning_rate
+            root = v / (1.0 - b2 ** it)
+            np.sqrt(root, out=root)
+            root += ADAM_EPS
+            move /= root
+            lu = np.add(lu, move, out=LU[j])
+            np.maximum(lu, 0.0, out=lu)
+            np.minimum(lu, 1.0, out=lu)
             l, u = lu[:, :d], lu[:, d:]
             crossed = l > u
             if crossed.any():
@@ -328,8 +346,7 @@ def _ascend(
                 mid = 0.5 * (l[crossed] + u[crossed])
                 l[crossed] = mid
                 u[crossed] = mid
-            p = stats.evaluate(l, u, match)
-            grad = _gradient(p, _past(lu, qq), cfg, n)
+            p, grad = _step(stats, lu, qq, match, cfg)
             sums.append((p.h_sum, p.match_sum, p.n_in, p.n_match))
         rows = len(sums)
         outside, violation = _containment(LU[:rows], qq)

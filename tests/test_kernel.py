@@ -145,7 +145,7 @@ def test_objective_gradient_and_counts_match_reference(table, mode, threshold, s
     close(np.concatenate([got_l, got_u]), np.concatenate([gl, gu]))
 
     stats = BoxStats(X, k)
-    p = stats.evaluate(l[None], u[None], match[None])
+    p = stats.forward(l[None], u[None], match[None])
     assert (p.n_in[0], p.n_match[0]) == (n_in, n_match)
     assert [c[0] for c in stats.exact(l[None], u[None], match[None])] == [n_in, n_match]
 
@@ -205,6 +205,8 @@ def block_tables(draw):
 @given(block_tables(), st.lists(st.sampled_from(BOX_MODES), min_size=1, max_size=6),
        st.sampled_from([0.05, 0.5, 0.9, 1.0]), st.booleans())
 def test_many_boxes_in_one_pass_match_single_passes(table, modes, threshold, scaled):
+    """A forward and backward pass over A boxes gives, bit for bit, what a
+    pass over each box alone gives; so do the objective and its gradient."""
     X, labels, rng, layout = table
     n, d = X.shape
     k = ApproxConstants.for_dimension(d) if scaled else ApproxConstants()
@@ -216,25 +218,73 @@ def test_many_boxes_in_one_pass_match_single_passes(table, modes, threshold, sca
     U = np.stack([u for _, u in boxes])
     query_labels = rng.integers(0, 3, len(boxes))  # each box matches its own label row
     match = (labels == query_labels[:, None]).astype(np.float64)
+    weights = rng.standard_normal(match.shape)
     Q = X[rng.integers(n, size=len(boxes))]
     cfg = OptimizerConfig(precision_threshold=threshold)
 
-    p = stats.evaluate(L, U, match)
+    p = stats.forward(L, U, match)
+    back = stats.backward(weights)
     n_in, n_match = stats.exact(L, U, match)
     lu, qq = np.concatenate([L, U], axis=1), np.concatenate([Q, Q], axis=1)
     violation = optimize_module._containment(lu, qq)[1]
     obj = optimize_module._terms(p.h_sum, p.match_sum, p.n_in, p.n_match, violation, cfg, n)[0]
-    grad = optimize_module._gradient(p, optimize_module._past(lu, qq), cfg, n)
+    grad = optimize_module._step(stats, lu, qq, match, cfg)[1]
     for i, (l, u) in enumerate(boxes):
-        one = BoxStats(X, k).evaluate(l[None], u[None], match[i:i + 1])
-        close(p.h_sum[i], one.h_sum[0])
-        close(p.match_sum[i], one.match_sum[0])
-        close(p.grad[i], one.grad[0])
-        assert (p.n_in[i], p.n_match[i]) == (one.n_in[0], one.n_match[0])
+        solo = BoxStats(X, k)
+        one = solo.forward(l[None], u[None], match[i:i + 1])
+        for field in ("h_sum", "match_sum", "slope", "n_in", "n_match"):
+            np.testing.assert_array_equal(getattr(p, field)[i], getattr(one, field)[0])
+        np.testing.assert_array_equal(back[i], solo.backward(weights[i:i + 1])[0])
         assert (n_in[i], n_match[i]) == (one.n_in[0], one.n_match[0])
         b = BoxBounds(l, u)
-        close(obj[i], objective(b, Q[i], X, labels, query_labels[i], cfg, k))
-        close(grad[i], np.concatenate(gradient(b, Q[i], X, labels, query_labels[i], cfg, k)))
+        assert obj[i] == objective(b, Q[i], X, labels, query_labels[i], cfg, k)
+        np.testing.assert_array_equal(
+            grad[i], np.concatenate(gradient(b, Q[i], X, labels, query_labels[i], cfg, k)))
+
+
+def two_row_gradient(stats, lu, qq, match, cfg):
+    """The objective's gradient from two backward passes, one for h_sum and
+    one for match_sum, combined by the quotient rule."""
+    d = stats.d
+    p = stats.forward(lu[:, :d], lu[:, d:], match)
+    g_h = stats.backward(p.slope)
+    g_m = stats.backward(p.slope * match)
+    gate = optimize_module._gate(p.n_match, p.n_in, cfg)[:, None]
+    h_sum, match_sum = p.h_sum[:, None], p.match_sum[:, None]
+    dpre = (h_sum * g_m - match_sum * g_h) / (h_sum * h_sum)
+    past = optimize_module._past(lu, qq)
+    side = np.repeat([1.0, -1.0], d)
+    return g_h / stats.n + cfg.lambda1 * gate * dpre - cfg.lambda2 * side * (past > 0.0), gate
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_tables(), st.lists(st.sampled_from(BOX_MODES), min_size=1, max_size=4),
+       st.sampled_from(["below", "at", "above"]), st.booleans())
+def test_folded_gradient_equals_two_row_quotient_rule(table, modes, gate_at, scaled):
+    """One backward pass with the folded weights gives the quotient-rule
+    gradient of the two soft sums, with the precision gate at 0, 1 or 2."""
+    X, labels, rng, _ = table
+    n, d = X.shape
+    k = ApproxConstants.for_dimension(d) if scaled else ApproxConstants()
+    stats = BoxStats(X, k)
+    boxes = [draw_box(mode, X, rng) for mode in modes]
+    lu = np.stack([np.concatenate(box) for box in boxes])
+    Q = X[rng.integers(n, size=len(boxes))]
+    qq = np.concatenate([Q, Q], axis=1)
+    match = (labels == rng.integers(0, 3, len(boxes))[:, None]).astype(np.float64)
+    # put the first box's exact precision below, at or above the threshold
+    n_in, n_match = (int(c[0]) for c in stats.exact(lu[:1, :d], lu[:1, d:], match[:1]))
+    pre = n_match / n_in if n_in else 0.0
+    threshold = {"below": pre + 0.01, "at": pre, "above": pre - 0.01}[gate_at]
+    cfg = OptimizerConfig(precision_threshold=float(np.clip(threshold, 1e-3, 1.0)))
+
+    got = optimize_module._step(stats, lu, qq, match, cfg)[1]
+    want, gate = two_row_gradient(stats, lu, qq, match, cfg)
+    if n_in and 0.01 < pre < 0.99:
+        assert gate[0, 0] == {"below": 2.0, "at": 1.0, "above": 0.0}[gate_at]
+    for i in range(len(boxes)):
+        np.testing.assert_allclose(got[i], want[i], rtol=0.0,
+                                   atol=1e-12 * np.linalg.norm(want[i]) + 1e-300)
 
 
 class TestBlocks:

@@ -162,6 +162,20 @@ class TestGradient:
         assert gl[0] == pytest.approx(-gu[0], abs=1e-7)
 
 
+    def test_finite_where_soft_sums_underflow(self):
+        """At a steep c2 every soft membership of a box far from the data
+        underflows to zero; the gradient is then zero, not NaN."""
+        k = ApproxConstants(c2=1e5)
+        X = np.random.default_rng(8).random((50, 2)) * 0.5
+        labels = np.ones(50, dtype=int)
+        b = BoxBounds(np.array([0.9, 0.9]), np.array([0.95, 0.95]))
+        q = np.array([0.92, 0.92])
+        cfg = OptimizerConfig()
+        gl, gu = gradient(b, q, X, labels, 1, cfg, k)
+        np.testing.assert_array_equal(np.concatenate([gl, gu]), 0.0)
+        assert np.isfinite(objective(b, q, X, labels, 1, cfg, k))
+
+
 class TestOptimize:
     def test_bounds_stay_in_unit_cube(self):
         rng = np.random.default_rng(4)
