@@ -241,7 +241,8 @@ def cmd_explain(args, cfg: OptimizerConfig) -> int:
                 raise MaireError(f"--query-json: {exc}") from exc
             query_raw = values
         labels = predict_batch(provider, space.matrix)
-        query_label = int(predict_batch(provider, q[None, :])[0])
+        query_label = int(labels[args.query_row] if args.query_row is not None
+                          else predict_batch(provider, q[None, :])[0])
     expl = explain_encoded(q, space, labels, query_label, cfg,
                            max_attrs=args.max_attrs, query_raw=query_raw)
     _write_explanation(expl, Path(args.out_dir), "explanation", args.trace)

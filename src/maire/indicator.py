@@ -97,6 +97,15 @@ class BoxBounds:
     def contains(self, x: np.ndarray) -> bool:
         return bool(np.all((np.asarray(x) >= self.l) & (np.asarray(x) <= self.u)))
 
+    def signed(self) -> np.ndarray:
+        """The signed bounds (l, -u) that ``BoxStats`` and the ascent work in."""
+        return np.concatenate([self.l, -self.u])
+
+    @classmethod
+    def from_signed(cls, s: np.ndarray) -> "BoxBounds":
+        """The box of signed bounds (l, -u); u = 0 - s, so a signed +0.0 is u = +0.0."""
+        return cls(s[:s.size // 2], 0.0 - s[s.size // 2:])
+
 
 def inside_mask(b: BoxBounds, points: np.ndarray) -> np.ndarray:
     """Exact membership mask: l_j <= x_j <= u_j on every axis.
@@ -166,6 +175,10 @@ class BoxStats:
     dataset, for A boxes at once. Build it once per dataset; each pass costs
     one sweep over the data per box.
 
+    Boxes are passed as signed bounds s = (l, -u), (A, 2D), and data values
+    held as x_s = (x, -x), so both comparisons of an axis read x_s - s: x - l,
+    and -x - (-u) = u - x bit for bit.
+
     Columns are split by their number of distinct values. Columns with more
     than ``LEVEL_LIMIT`` form the dense block and are evaluated elementwise.
     The others (one-hot, ordered and other few-valued columns) form the
@@ -178,14 +191,14 @@ class BoxStats:
     the slope is (c1 c2/4)(1 - tanh^2). ``forward`` gives the soft sums,
     the exact counts and each row's slope dh/dt / 2D, and keeps the pass's
     tanh^2. ``backward`` then takes one row of weights w per box and gives
-    sum_rows w * d(row's comparison sum)/d(l, u): for the dense block one
-    product of w with tanh^2. Any gradient that is linear in the rows' dh
-    is one backward pass.
+    sum_rows w * d(row's comparison sum)/ds, with dz/ds = -1 everywhere:
+    for the dense block one product of w with tanh^2. Any gradient that is
+    linear in the rows' dh is one backward pass.
 
-    A pass takes (A, D) bounds and, where labels matter, one 0/1 match row
-    per box, (A, N). Its products are stacked per box, so each box's results
-    are bit for bit those of a pass over that box alone. A pass writes into
-    buffers of the instance: one instance serves one thread.
+    A pass takes (A, 2D) signed bounds and, where labels matter, one 0/1
+    match row per box, (A, N). Its products are stacked per box, so each
+    box's results are bit for bit those of a pass over that box alone. A
+    pass writes into buffers of the instance: one instance serves one thread.
     """
 
     def __init__(self, points: np.ndarray, k: ApproxConstants = ApproxConstants()):
@@ -208,7 +221,8 @@ class BoxStats:
         self.level_start = np.cumsum([0] + counts[:-1], dtype=np.intp)
         # both blocks are stored column-major (one contiguous row per column
         # or level), so per-row reductions and the products stream memory
-        self.Xd = columns[self.dense]
+        self._Xs = np.concatenate([columns[self.dense], -columns[self.dense]])
+        self._Vs = np.concatenate([self.level_val, -self.level_val])
         self.L = (columns[self.level_col] == self.level_val[:, None]).astype(np.float64)
 
         w = self.dense.size
@@ -217,22 +231,20 @@ class BoxStats:
         self._buf = np.empty(0)
         self._T = self._buf.reshape(4 * w, 0, n)
         self._coef = np.repeat([0.5 * k.c1, 0.5 * k.c3], 2 * w)
-        # gradient columns of each block in the (l, u) layout, and the signed
-        # slope factor d gamma/dz times dz/dbound of each
-        c = 0.25 * k.c1 * k.c2
-        self._dense_lu = np.concatenate([self.dense, d + self.dense])
-        self._dense_scale = np.repeat([-c, c], w)
-        self._level_lu = np.concatenate([self.level_cols, d + self.level_cols])
-        self._level_scale = np.repeat([-c, c], self.level_cols.size)
+        # columns of the signed bounds that each dense comparison, each level
+        # comparison and each level column's gradient read
+        self._dense_s = np.concatenate([self.dense, d + self.dense])
+        self._level_s = np.concatenate([self.level_col, d + self.level_col])
+        self._level_cols_s = np.concatenate([self.level_cols, d + self.level_cols])
         self._level_starts = np.concatenate([self.level_start,
                                              self.level_val.size + self.level_start])
 
-    def _forward(self, l: np.ndarray, u: np.ndarray):
+    def _forward(self, s: np.ndarray):
         """Soft-AND argument t and the exact in-box mask, (A, N), plus the
         comparisons' tanh values for the gradient: the dense block's stay in
         the buffer, the level block's (A x 2 x levels) are returned."""
         k = self.k
-        a = l.shape[0]
+        a = s.shape[0]
         w = self.dense.size
         rows = 0.0
         inside = True
@@ -247,8 +259,7 @@ class BoxStats:
                 self._T = self._buf[:size].reshape(4 * w, a, self.n)
             T = self._T
             Z = T[:2 * w]
-            np.subtract(self.Xd[:, None], l.T[self.dense, :, None], out=Z[:w])
-            np.subtract(u.T[self.dense, :, None], self.Xd[:, None], out=Z[w:])
+            np.subtract(self._Xs[:, None], s.T[self._dense_s, :, None], out=Z)
             inside = Z.min(axis=0) >= 0.0
             Z[w:] += k.cl
             np.sign(Z, out=T[2 * w:])
@@ -258,10 +269,7 @@ class BoxStats:
             # all A*N rows would round some rows differently
             rows = self._coef @ T.transpose(1, 0, 2)
         if self.level_val.size:
-            c = self.level_col
-            z = np.empty((a, 2, self.level_val.size))
-            np.subtract(self.level_val, l[:, c], out=z[:, 0])
-            np.subtract(u[:, c], self.level_val, out=z[:, 1])
+            z = np.subtract(self._Vs, s[:, self._level_s]).reshape(a, 2, -1)
             G = np.empty_like(z)
             G[:, 1] = (z < 0.0).any(axis=1)
             z[:, 1] += k.cl
@@ -273,20 +281,20 @@ class BoxStats:
         t = (self.d + rows) / (2.0 * self.d) - k.ch
         return t, inside, tz
 
-    def membership(self, l: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Soft membership h of every row in each box, (A, N).
+    def membership(self, s: np.ndarray) -> np.ndarray:
+        """Soft membership h of every row in each box of signed bounds ``s``, (A, N).
 
         Per axis j the row contributes gamma(x_j - l_j) (soft x > l) and
         gamma(u_j - x_j + cl) (soft u >= x); the 2D values are combined by a
         soft AND, gamma(mean - ch).
         """
-        return _gamma_slope(self._forward(l, u)[0], self.k)[0]
+        return _gamma_slope(self._forward(s)[0], self.k)[0]
 
-    def forward(self, l: np.ndarray, u: np.ndarray, match: np.ndarray) -> BoxPass:
+    def forward(self, s: np.ndarray, match: np.ndarray) -> BoxPass:
         """Soft sums, each row's slope and the exact counts in one pass. The
         comparisons' tanh^2 (dense) and 1 - tanh^2 (levels) stay in the
         instance for ``backward``."""
-        t, inside, tz = self._forward(l, u)
+        t, inside, tz = self._forward(s)
         h, slope = _gamma_slope(t, self.k)
         slope *= 1.0 / (2.0 * self.d)
         w = self.dense.size
@@ -305,41 +313,38 @@ class BoxStats:
         )
 
     def backward(self, weights: np.ndarray) -> np.ndarray:
-        """sum_rows weights * d(row's comparison sum)/d(l, u) at the
-        bounds of the last ``forward`` pass, for (A, N) weights: an (A, 2D)
-        array, lower bounds first."""
+        """sum_rows weights * d(row's comparison sum)/ds at the signed bounds
+        of the last ``forward`` pass, for (A, N) weights: an (A, 2D) array."""
         a = weights.shape[0]
         grad = np.empty((a, 2 * self.d))
+        c = -0.25 * self.k.c1 * self.k.c2  # d gamma/dz = c1 c2/4 (1 - tanh^2), dz/ds = -1
         w = self.dense.size
         W = weights[:, None, :]
         if w:
             # sum w (1 - tanh^2), one product per box
-            grad[:, self._dense_lu] = self._dense_scale * (
+            grad[:, self._dense_s] = c * (
                 weights.sum(axis=1)[:, None] - (W @ self._T[:2 * w].transpose(1, 2, 0))[:, 0])
         if self.level_val.size:
             # per level and side: the weights of its rows times the slope there
             per_level = (W @ self.L.T) * self._level_slope
-            grad[:, self._level_lu] = self._level_scale * np.add.reduceat(
+            grad[:, self._level_cols_s] = c * np.add.reduceat(
                 per_level.reshape(a, -1), self._level_starts, axis=1)
         return grad
 
-    def exact(self, l: np.ndarray, u: np.ndarray,
-              match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def exact(self, s: np.ndarray, match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows inside each box and, of those, label-matching rows: two (A,) arrays."""
         inside = True
         if self.dense.size:
-            Xd = self.Xd
-            inside = ((Xd >= l[:, self.dense, None]) & (Xd <= u[:, self.dense, None])).all(axis=1)
+            inside = (self._Xs >= s[:, self._dense_s, None]).all(axis=1)
         if self.level_val.size:
-            c = self.level_col
-            outside = (self.level_val < l[:, c]) | (self.level_val > u[:, c])
+            outside = (self._Vs < s[:, self._level_s]).reshape(s.shape[0], 2, -1).any(axis=1)
             inside = inside & (outside @ self.L == 0.0)
         return np.add.reduce(inside, axis=1), np.add.reduce(inside & (match > 0.5), axis=1)
 
 
 def membership_h(b: BoxBounds, x: np.ndarray, k: ApproxConstants = ApproxConstants()) -> float:
     """Soft membership of a single point in the box."""
-    return float(BoxStats(x, k).membership(b.l[None], b.u[None])[0, 0])
+    return float(BoxStats(x, k).membership(b.signed()[None])[0, 0])
 
 
 def cov_exact(b: BoxBounds, points: np.ndarray) -> float:
@@ -363,7 +368,7 @@ def pre_exact_or_none(b: BoxBounds, points: np.ndarray, labels: np.ndarray,
 
 def cov_hat(b: BoxBounds, points: np.ndarray, k: ApproxConstants = ApproxConstants()) -> float:
     """Approximate coverage: mean soft membership."""
-    return float(BoxStats(points, k).membership(b.l[None], b.u[None])[0].mean())
+    return float(BoxStats(points, k).membership(b.signed()[None])[0].mean())
 
 
 def soft_measures(boxes: list[BoxBounds], points: np.ndarray, labels: np.ndarray,
@@ -379,7 +384,7 @@ def soft_measures(boxes: list[BoxBounds], points: np.ndarray, labels: np.ndarray
     labels = np.asarray(labels)
     out = np.empty((2, len(boxes)))
     for i, (b, query_label) in enumerate(zip(boxes, query_labels)):
-        h = stats.membership(b.l[None], b.u[None])[0]
+        h = stats.membership(b.signed()[None])[0]
         match = (labels == query_label).astype(np.float64)
         out[0, i] = h.mean()
         # h > 0 mathematically; the floor only guards underflow at extreme c2

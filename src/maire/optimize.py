@@ -3,12 +3,13 @@
 The objective rewards soft coverage, adds a soft-precision term gated by the
 exact precision falling below the user threshold, and subtracts hinge
 penalties for pushing a bound past the query point. Ascent uses an in-repo
-Adam update with per-iteration clipping of both bound vectors to [0, 1].
+Adam update on signed bounds s = (l, -u) (see ``BoxStats``), clipped each
+iteration to [0, 1]^D x [-1, 0]^D. A bound lies past the query where
+s > (q, -q), and the gradient with respect to s has one sign for every bound.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -107,30 +108,19 @@ def _gate(n_match: np.ndarray, n_in: np.ndarray, cfg: OptimizerConfig) -> np.nda
     return 1.0 + np.sign(cfg.precision_threshold - n_match / np.maximum(n_in, 1))
 
 
-@functools.cache
-def _side(d: int) -> np.ndarray:
-    """+1 on the D lower bounds, -1 on the D upper ones."""
-    return np.repeat([1.0, -1.0], d)
-
-
-def _past(lu: np.ndarray, qq: np.ndarray) -> np.ndarray:
-    """How far each bound of (..., 2D) bounds ``lu`` = (l, u) lies past the
-    query, ``qq`` = (q, q): l - q on the lower bounds, q - u on the upper."""
-    return (lu - qq) * _side(lu.shape[-1] // 2)
-
-
-def _containment(lu: np.ndarray, qq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which bounds lie past the query, and the containment violation: the
-    summed distance past it, per box."""
-    past = _past(lu, qq)
+def _containment(s: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of the (..., 2D) signed bounds ``s`` lie past the query, ``qs``
+    = (q, -q), and the containment violation: the summed distance past it,
+    s - qs (l - q on the lower bounds, q - u on the upper), per box."""
+    past = s - qs
     viol = np.add.reduce(np.maximum(past, 0.0).reshape(*past.shape[:-1], 2, -1), axis=-1)
     return past > 0.0, viol[..., 0] + viol[..., 1]
 
 
-def _step(stats: BoxStats, lu: np.ndarray, qq: np.ndarray, match: np.ndarray,
+def _step(stats: BoxStats, s: np.ndarray, qs: np.ndarray, match: np.ndarray,
           cfg: OptimizerConfig) -> tuple[BoxPass, np.ndarray]:
-    """One forward and one backward pass at (A, 2D) bounds ``lu``: the
-    pass, and the objective's analytic gradient with respect to (l, u).
+    """One forward and one backward pass at (A, 2D) signed bounds ``s``: the
+    pass, and the objective's analytic gradient with respect to s.
 
     The objective h_sum/N + lambda1 gate match_sum/h_sum is linear in the
     rows' dh, so its gradient is one backward pass with the weights
@@ -139,15 +129,14 @@ def _step(stats: BoxStats, lu: np.ndarray, qq: np.ndarray, match: np.ndarray,
     inside gamma and the precision gate) are treated as locally constant,
     so the gradient is exact everywhere off their jumps.
     """
-    d = stats.d
-    p = stats.forward(lu[:, :d], lu[:, d:], match)
+    p = stats.forward(s, match)
     beta = cfg.lambda1 * _gate(p.n_match, p.n_in, cfg) / p.h_sum
     alpha = 1.0 / stats.n - beta * (p.match_sum / p.h_sum)
     w = match * beta[:, None]
     w += alpha[:, None]
     w *= p.slope
     grad = stats.backward(w)
-    grad -= (cfg.lambda2 * _side(d)) * (_past(lu, qq) > 0.0)
+    grad -= cfg.lambda2 * (s > qs)
     return p, grad
 
 
@@ -163,11 +152,10 @@ def _terms(h_sum, match_sum, n_in, n_match, violation, cfg: OptimizerConfig, n: 
 
 
 def _one(b, query, data, labels, query_label, k):
-    """Kernel, (1, 2D) bounds and queries and (1, N) match row of one box."""
+    """Kernel, (1, 2D) signed bounds and query and (1, N) match row of one box."""
     match = (np.asarray(labels) == query_label).astype(np.float64)
     q = np.asarray(query, dtype=np.float64)
-    return (BoxStats(data, k), np.concatenate([b.l, b.u])[None], np.concatenate([q, q])[None],
-            match[None])
+    return BoxStats(data, k), b.signed()[None], np.concatenate([q, -q])[None], match[None]
 
 
 def objective(
@@ -180,9 +168,9 @@ def objective(
     k: ApproxConstants = ApproxConstants(),
 ) -> float:
     """Penalized ascent objective at one set of bounds."""
-    stats, lu, qq, match = _one(b, query, data, labels, query_label, k)
-    p = stats.forward(lu[:, :b.dim], lu[:, b.dim:], match)
-    violation = _containment(lu, qq)[1]
+    stats, s, qs, match = _one(b, query, data, labels, query_label, k)
+    p = stats.forward(s, match)
+    violation = _containment(s, qs)[1]
     return float(_terms(p.h_sum, p.match_sum, p.n_in, p.n_match, violation, cfg, stats.n)[0][0])
 
 
@@ -197,7 +185,7 @@ def gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of the objective w.r.t. (l, u)."""
     grad = _step(*_one(b, query, data, labels, query_label, k), cfg)[1][0]
-    return grad[:b.dim], grad[b.dim:]
+    return grad[:b.dim], -grad[b.dim:]
 
 
 def initial_bounds(query: np.ndarray) -> BoxBounds:
@@ -272,31 +260,30 @@ def _ascend(
     ``STRETCH`` iterations, over all of them at once.
     """
     a, d, n = len(initial), stats.d, stats.n
-    lu = np.stack([np.concatenate([b.l, b.u]) for b in initial])
-    qq = np.concatenate([queries, queries], axis=1)
+    s = np.stack([b.signed() for b in initial])
+    qs = np.concatenate([queries, -queries], axis=1)
+    lo, hi = np.repeat([[0.0, -1.0], [1.0, 0.0]], d, axis=1)  # l in [0, 1], -u in [-1, 0]
     m = np.zeros((a, 2 * d))
     v = np.zeros((a, 2 * d))
     # best iterate so far of each box. Iterates rank feasible first, then by
     # exact coverage: as one number, coverage plus 2 if feasible (coverages
     # are multiples of 1/N, so adding 2 never merges two of them)
-    best_lu = lu.copy()
+    best_s = s.copy()
     best_key = np.full(a, -1.0)  # below every key: iteration 0 always wins
     best_iteration = np.zeros(a, dtype=np.intp)
     logged = []  # (C, A, 6) trace values per stretch
 
-    def rank(LU, outside, cov, pre, violation, first):
+    def rank(S, outside, cov, pre, violation, first):
         """Fold iterations first, first + 1, ... into the best iterates. Rows
-        are iterations: (C, A, 2D) bounds and which of them lie past the
-        query, (C, A) per-box values."""
+        are iterations: (C, A, 2D) signed bounds and which of them lie past
+        the query, (C, A) per-box values."""
         if cfg.containment_snap:
             # the snap moves onto the query the bounds that lie past it; the
             # iterates it moved are recounted together
-            LU = np.where(outside, qq, LU)
+            S = np.where(outside, qs, S)
             moved = violation > 0.0
             if moved.any():
-                snapped = LU[moved]
-                n_in, n_match = stats.exact(snapped[:, :d], snapped[:, d:],
-                                            match[np.nonzero(moved)[1]])
+                n_in, n_match = stats.exact(S[moved], match[np.nonzero(moved)[1]])
                 cov, pre = cov.copy(), pre.copy()
                 cov[moved] = n_in / n
                 pre[moved] = _precision(n_match, n_in)
@@ -305,23 +292,24 @@ def _ascend(
         boxes = np.arange(a)
         top = key[row, boxes]
         better = top > best_key
-        best_lu[better] = LU[row[better], boxes[better]]
+        best_s[better] = S[row[better], boxes[better]]
         best_key[better] = top[better]
         best_iteration[better] = first + row[better]
 
-    p, grad = _step(stats, lu, qq, match, cfg)
-    outside, violation = _containment(lu, qq)
+    p, grad = _step(stats, s, qs, match, cfg)
+    outside, violation = _containment(s, qs)
     _, _, _, cov, pre, _ = _terms(p.h_sum, p.match_sum, p.n_in, p.n_match, violation, cfg, n)
     if np.isnan(pre).any():
         log.debug("initial box empty: precision gate forced active")
-    rank(lu[None], outside[None], cov[None], pre[None], violation[None], 0)
+    rank(s[None], outside[None], cov[None], pre[None], violation[None], 0)
 
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    LU = np.empty((min(STRETCH, cfg.max_iters), a, 2 * d))  # the stretch's iterates
+    S = np.empty((min(STRETCH, cfg.max_iters), a, 2 * d))  # the stretch's iterates
     for first in range(1, cfg.max_iters + 1, STRETCH):
         sums = []
         for j, it in enumerate(range(first, min(first + STRETCH, cfg.max_iters + 1))):
-            # Adam in place: lu + lr m_hat / (sqrt(v_hat) + eps), clipped to [0, 1]
+            # Adam in place: s + lr m_hat / (sqrt(v_hat) + eps), clipped. m and the
+            # move are odd in the gradient and v even, so -u steps exactly as u, negated
             m *= b1
             m += (1.0 - b1) * grad
             grad *= grad
@@ -334,27 +322,27 @@ def _ascend(
             np.sqrt(root, out=root)
             root += ADAM_EPS
             move /= root
-            lu = np.add(lu, move, out=LU[j])
-            np.maximum(lu, 0.0, out=lu)
-            np.minimum(lu, 1.0, out=lu)
-            l, u = lu[:, :d], lu[:, d:]
-            crossed = l > u
+            s = np.add(s, move, out=S[j])
+            np.maximum(s, lo, out=s)
+            np.minimum(s, hi, out=s)
+            l, su = s[:, :d], s[:, d:]
+            crossed = l > -su
             if crossed.any():
                 # an inverted axis admits nothing and is an absorbing state
                 # under ascent; project both bounds onto their midpoint so the
                 # (empty) box can keep moving
-                mid = 0.5 * (l[crossed] + u[crossed])
+                mid = 0.5 * (l[crossed] - su[crossed])
                 l[crossed] = mid
-                u[crossed] = mid
-            p, grad = _step(stats, lu, qq, match, cfg)
+                su[crossed] = -mid
+            p, grad = _step(stats, s, qs, match, cfg)
             sums.append((p.h_sum, p.match_sum, p.n_in, p.n_match))
         rows = len(sums)
-        outside, violation = _containment(LU[:rows], qq)
+        outside, violation = _containment(S[:rows], qs)
         terms = _terms(*(np.array(x) for x in zip(*sums)), violation, cfg, n)
-        rank(LU[:rows], outside, terms[3], terms[4], violation, first)
+        rank(S[:rows], outside, terms[3], terms[4], violation, first)
         logged.append(np.stack(terms, axis=2))
 
     values = np.concatenate(logged)  # (T, A, 6): box i's trace is values[:, i]
-    return [(BoxBounds(best_lu[i, :d], best_lu[i, d:]),
+    return [(BoxBounds.from_signed(best_s[i]),
              OptimizationTrace(values[:, i], int(best_iteration[i]), bool(best_key[i] >= 2.0)))
             for i in range(a)]

@@ -127,6 +127,34 @@ class TestExplainCommand:
                    "--out-dir", str(tmp_path / "o3"))
         assert code == 0
 
+    def test_query_row_takes_its_label_from_the_table(self, tmp_path, tabular):
+        """--query-row reads the row's label from the labelled table instead
+        of asking the predictor again: a predictor that answers its k-th
+        request with label k gets one request, and the query is labelled 0
+        like every row of the table."""
+        _, schema, _, plain = tabular
+        small = tmp_path / "small.csv"
+        with open(plain) as fh:
+            small.write_text("\n".join(fh.read().splitlines()[:41]) + "\n")
+        log = tmp_path / "requests.log"
+        script = tmp_path / "pred.py"
+        script.write_text(
+            "import json, sys\n"
+            "for k, line in enumerate(sys.stdin):\n"
+            "    with open(sys.argv[1], 'a') as fh:\n"
+            "        fh.write(line)\n"
+            "    print(json.dumps([k for _ in json.loads(line)]), flush=True)\n"
+        )
+        out = tmp_path / "o"
+        code = run("explain", "--data", str(small), "--schema", schema,
+                   "--predictor-cmd", f"{sys.executable} {script} {log}",
+                   "--query-row", "3", "--iters", "20", "--out-dir", str(out))
+        assert code == 0
+        record = json.loads((out / "explanation.json").read_text())
+        assert record["label"] == 0
+        assert record["precision"] == 1.0
+        assert len(log.read_text().splitlines()) == 1
+
     @pytest.mark.parametrize("command, extra", [
         ("explain", ["--query-row", "0"]),
         ("global", ["--anchors", "2", "--max-attrs", "1"]),

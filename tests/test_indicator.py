@@ -255,7 +255,7 @@ class TestMembershipValuesShape:
         rng = np.random.default_rng(9)
         X = rng.random((20, 3))
         b = BoxBounds(rng.random(3) * 0.4, 0.6 + rng.random(3) * 0.4)
-        batch = BoxStats(X, DEFAULTS).membership(b.l[None], b.u[None])[0]
+        batch = BoxStats(X, DEFAULTS).membership(b.signed()[None])[0]
         singles = [membership_h(b, x) for x in X]
         np.testing.assert_allclose(batch, singles, atol=1e-14)
 
@@ -367,3 +367,25 @@ class TestBoxBounds:
             BoxBounds(np.array([-0.2]), np.array([0.5]))
         with pytest.raises(ValueError):
             BoxBounds(np.array([0.2]), np.array([1.5]))
+
+    @given(st.integers(1, 8), st.sampled_from(["random", "full", "empty", "upper-zero"]),
+           st.integers(0, 2**32 - 1))
+    def test_signed_bounds_round_trip(self, d, mode, seed):
+        """(l, -u) and back gives the box bit for bit, and an upper bound of
+        zero comes back as +0.0, also from a signed +0.0 (where the ascent's
+        clip leaves it)."""
+        rng = np.random.default_rng(seed)
+        a, c = rng.random(d), rng.random(d)
+        l, u = {"random": (np.minimum(a, c), np.maximum(a, c)),
+                "full": (np.zeros(d), np.ones(d)),
+                "empty": (a, a.copy()),
+                "upper-zero": (np.zeros(d), np.zeros(d))}[mode]
+        b = BoxBounds(l, u)
+        s = b.signed()
+        assert s.shape == (2 * d,)
+        back = BoxBounds.from_signed(s)
+        assert back.l.tobytes() == b.l.tobytes()
+        assert back.u.tobytes() == b.u.tobytes()
+        assert not np.signbit(back.u).any()
+        clipped = BoxBounds.from_signed(np.concatenate([b.l, np.zeros(d)]))
+        assert not np.signbit(clipped.u).any()

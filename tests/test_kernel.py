@@ -145,9 +145,9 @@ def test_objective_gradient_and_counts_match_reference(table, mode, threshold, s
     close(np.concatenate([got_l, got_u]), np.concatenate([gl, gu]))
 
     stats = BoxStats(X, k)
-    p = stats.forward(l[None], u[None], match[None])
+    p = stats.forward(b.signed()[None], match[None])
     assert (p.n_in[0], p.n_match[0]) == (n_in, n_match)
-    assert [c[0] for c in stats.exact(l[None], u[None], match[None])] == [n_in, n_match]
+    assert [c[0] for c in stats.exact(b.signed()[None], match[None])] == [n_in, n_match]
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,7 +158,7 @@ def test_soft_measures_match_reference(table, mode, scaled):
     l, u = draw_box(mode, X, rng)
     b = BoxBounds(l, u)
     h = ref_membership(l, u, X, k)
-    close(BoxStats(X, k).membership(b.l[None], b.u[None])[0], h)
+    close(BoxStats(X, k).membership(b.signed()[None])[0], h)
     close(cov_hat(b, X, k), h.mean())
     match = labels == 1
     close(pre_hat(b, X, labels, 1, k), (h * match).sum() / max(h.sum(), 1e-300))
@@ -176,7 +176,7 @@ def test_soft_measures_of_many_boxes_equal_one_box_measures(table, modes, scaled
     got = soft_measures(boxes, X, labels, query_labels, k)
     assert got.shape == (2, len(boxes))
     for i, (b, label) in enumerate(zip(boxes, query_labels)):
-        h = BoxStats(X, k).membership(b.l[None], b.u[None])[0]
+        h = BoxStats(X, k).membership(b.signed()[None])[0]
         match = (labels == label).astype(np.float64)
         assert got[0, i] == cov_hat(b, X, k)
         assert got[1, i] == pre_hat(b, X, labels, label, k)
@@ -222,38 +222,39 @@ def test_many_boxes_in_one_pass_match_single_passes(table, modes, threshold, sca
     Q = X[rng.integers(n, size=len(boxes))]
     cfg = OptimizerConfig(precision_threshold=threshold)
 
-    p = stats.forward(L, U, match)
+    S, qs = np.concatenate([L, -U], axis=1), np.concatenate([Q, -Q], axis=1)
+    p = stats.forward(S, match)
     back = stats.backward(weights)
-    n_in, n_match = stats.exact(L, U, match)
-    lu, qq = np.concatenate([L, U], axis=1), np.concatenate([Q, Q], axis=1)
-    violation = optimize_module._containment(lu, qq)[1]
+    n_in, n_match = stats.exact(S, match)
+    violation = optimize_module._containment(S, qs)[1]
     obj = optimize_module._terms(p.h_sum, p.match_sum, p.n_in, p.n_match, violation, cfg, n)[0]
-    grad = optimize_module._step(stats, lu, qq, match, cfg)[1]
+    grad = optimize_module._step(stats, S, qs, match, cfg)[1]
     for i, (l, u) in enumerate(boxes):
         solo = BoxStats(X, k)
-        one = solo.forward(l[None], u[None], match[i:i + 1])
+        one = solo.forward(S[i:i + 1], match[i:i + 1])
         for field in ("h_sum", "match_sum", "slope", "n_in", "n_match"):
             np.testing.assert_array_equal(getattr(p, field)[i], getattr(one, field)[0])
         np.testing.assert_array_equal(back[i], solo.backward(weights[i:i + 1])[0])
         assert (n_in[i], n_match[i]) == (one.n_in[0], one.n_match[0])
         b = BoxBounds(l, u)
         assert obj[i] == objective(b, Q[i], X, labels, query_labels[i], cfg, k)
-        np.testing.assert_array_equal(
-            grad[i], np.concatenate(gradient(b, Q[i], X, labels, query_labels[i], cfg, k)))
+        g_l, g_u = gradient(b, Q[i], X, labels, query_labels[i], cfg, k)
+        np.testing.assert_array_equal(grad[i], np.concatenate([g_l, -g_u]))
 
 
 def two_row_gradient(stats, lu, qq, match, cfg):
-    """The objective's gradient from two backward passes, one for h_sum and
-    one for match_sum, combined by the quotient rule."""
-    d = stats.d
-    p = stats.forward(lu[:, :d], lu[:, d:], match)
-    g_h = stats.backward(p.slope)
-    g_m = stats.backward(p.slope * match)
+    """The objective's gradient with respect to (l, u) from two backward
+    passes, one for h_sum and one for match_sum, combined by the quotient
+    rule. ``lu`` = (l, u) and ``qq`` = (q, q); the kernel's signed bounds
+    (l, -u) and its gradients are converted with this function's own sides."""
+    side = np.repeat([1.0, -1.0], stats.d)
+    p = stats.forward(lu * side, match)
+    g_h = stats.backward(p.slope) * side
+    g_m = stats.backward(p.slope * match) * side
     gate = optimize_module._gate(p.n_match, p.n_in, cfg)[:, None]
     h_sum, match_sum = p.h_sum[:, None], p.match_sum[:, None]
     dpre = (h_sum * g_m - match_sum * g_h) / (h_sum * h_sum)
-    past = optimize_module._past(lu, qq)
-    side = np.repeat([1.0, -1.0], d)
+    past = (lu - qq) * side
     return g_h / stats.n + cfg.lambda1 * gate * dpre - cfg.lambda2 * side * (past > 0.0), gate
 
 
@@ -271,14 +272,16 @@ def test_folded_gradient_equals_two_row_quotient_rule(table, modes, gate_at, sca
     lu = np.stack([np.concatenate(box) for box in boxes])
     Q = X[rng.integers(n, size=len(boxes))]
     qq = np.concatenate([Q, Q], axis=1)
+    S, qs = np.concatenate([lu[:, :d], -lu[:, d:]], axis=1), np.concatenate([Q, -Q], axis=1)
     match = (labels == rng.integers(0, 3, len(boxes))[:, None]).astype(np.float64)
     # put the first box's exact precision below, at or above the threshold
-    n_in, n_match = (int(c[0]) for c in stats.exact(lu[:1, :d], lu[:1, d:], match[:1]))
+    n_in, n_match = (int(c[0]) for c in stats.exact(S[:1], match[:1]))
     pre = n_match / n_in if n_in else 0.0
     threshold = {"below": pre + 0.01, "at": pre, "above": pre - 0.01}[gate_at]
     cfg = OptimizerConfig(precision_threshold=float(np.clip(threshold, 1e-3, 1.0)))
 
-    got = optimize_module._step(stats, lu, qq, match, cfg)[1]
+    got = optimize_module._step(stats, S, qs, match, cfg)[1]
+    got[:, d:] *= -1.0  # with respect to u
     want, gate = two_row_gradient(stats, lu, qq, match, cfg)
     if n_in and 0.01 < pre < 0.99:
         assert gate[0, 0] == {"below": 2.0, "at": 1.0, "above": 0.0}[gate_at]
