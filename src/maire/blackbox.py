@@ -148,17 +148,17 @@ class ExternalCommandProvider(PredictionProvider):
     Protocol: each request is one line on the child's stdin holding a JSON
     array of points (each point a JSON array of numbers); the child answers
     with one line holding a JSON array of integer labels of equal length.
+    A batch goes out in requests of at most ``EXTERNAL_CHUNK_SIZE`` points.
     Requests are serialized to a single long-lived child; this provider is
     not safe for concurrent use. A failed request stops the child; the next
     request starts a new one.
     """
 
-    def __init__(self, command: str, timeout_s: float = 30.0, chunk_size: int = EXTERNAL_CHUNK_SIZE):
+    def __init__(self, command: str, timeout_s: float = 30.0):
         if not (np.isfinite(timeout_s) and timeout_s > 0.0):
             raise ValueError(f"timeout_s must be a finite number above 0, got {timeout_s}")
         self.command = command
         self.timeout_s = timeout_s
-        self.chunk_size = chunk_size
         self._proc: subprocess.Popen | None = None
         self._buffer = b""
 
@@ -223,8 +223,8 @@ class ExternalCommandProvider(PredictionProvider):
 
     def _request(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(len(X), dtype=np.int64)
-        for start in range(0, len(X), self.chunk_size):
-            batch = X[start:start + self.chunk_size]
+        for start in range(0, len(X), EXTERNAL_CHUNK_SIZE):
+            batch = X[start:start + EXTERNAL_CHUNK_SIZE]
             request = json.dumps(batch.tolist()) + "\n"
             try:
                 self._proc.stdin.write(request.encode("utf-8"))

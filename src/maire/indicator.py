@@ -126,22 +126,11 @@ def _gamma_slope(z: np.ndarray, k: ApproxConstants) -> tuple[np.ndarray, np.ndar
     Unlike the tanh form, tail values keep their relative precision, which
     matters where they are summed directly (the soft AND over rows).
     """
-    er = np.abs(z)
-    er *= -k.c2
-    np.exp(er, out=er)
-    r = er + 1.0
-    np.divide(1.0, r, out=r)
-    er *= r  # e r = e/(1+e), the sigmoid below zero
-    slope = er * r
-    slope *= k.c1 * k.c2
-    value = np.where(z >= 0.0, r, er)
-    value *= k.c1
-    step = np.sign(z)
-    step *= 0.5
-    step += 0.5
-    step *= k.c3
-    value += step
-    return value, slope
+    e = np.exp(np.abs(z) * -k.c2)
+    r = 1.0 / (e + 1.0)
+    er = e * r  # e/(1+e), the sigmoid below zero
+    value = np.where(z >= 0.0, r, er) * k.c1 + (np.sign(z) * 0.5 + 0.5) * k.c3
+    return value, er * r * (k.c1 * k.c2)
 
 
 def gamma(z: float, k: ApproxConstants = ApproxConstants()) -> float:

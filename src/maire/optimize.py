@@ -132,12 +132,8 @@ def _step(stats: BoxStats, s: np.ndarray, qs: np.ndarray, match: np.ndarray,
     p = stats.forward(s, match)
     beta = cfg.lambda1 * _gate(p.n_match, p.n_in, cfg) / p.h_sum
     alpha = 1.0 / stats.n - beta * (p.match_sum / p.h_sum)
-    w = match * beta[:, None]
-    w += alpha[:, None]
-    w *= p.slope
-    grad = stats.backward(w)
-    grad -= cfg.lambda2 * (s > qs)
-    return p, grad
+    w = (match * beta[:, None] + alpha[:, None]) * p.slope
+    return p, stats.backward(w) - cfg.lambda2 * (s > qs)
 
 
 def _terms(h_sum, match_sum, n_in, n_match, violation, cfg: OptimizerConfig, n: int):
@@ -308,23 +304,13 @@ def _ascend(
     for first in range(1, cfg.max_iters + 1, STRETCH):
         sums = []
         for j, it in enumerate(range(first, min(first + STRETCH, cfg.max_iters + 1))):
-            # Adam in place: s + lr m_hat / (sqrt(v_hat) + eps), clipped. m and the
-            # move are odd in the gradient and v even, so -u steps exactly as u, negated
-            m *= b1
-            m += (1.0 - b1) * grad
-            grad *= grad
-            grad *= 1.0 - b2
-            v *= b2
-            v += grad
-            move = m / (1.0 - b1 ** it)
-            move *= cfg.learning_rate
-            root = v / (1.0 - b2 ** it)
-            np.sqrt(root, out=root)
-            root += ADAM_EPS
-            move /= root
-            s = np.add(s, move, out=S[j])
-            np.maximum(s, lo, out=s)
-            np.minimum(s, hi, out=s)
+            # Adam: s + lr m_hat / (sqrt(v_hat) + eps), clipped. m and the move
+            # are odd in the gradient and v even, so -u steps exactly as u, negated.
+            # s is a view of S[j], so the projection below writes through to rank
+            m = b1 * m + (1.0 - b1) * grad
+            v = b2 * v + grad * grad * (1.0 - b2)
+            move = m / (1.0 - b1 ** it) * cfg.learning_rate / (np.sqrt(v / (1.0 - b2 ** it)) + ADAM_EPS)
+            s = np.minimum(np.maximum(s + move, lo), hi, out=S[j])
             l, su = s[:, :d], s[:, d:]
             crossed = l > -su
             if crossed.any():

@@ -208,6 +208,26 @@ def _codes(attr: AttributeSchema, values: np.ndarray, query: bool = False) -> np
     return codes
 
 
+def _numbers(attr: AttributeSchema, raw, query: bool) -> np.ndarray:
+    """A continuous or ordered attribute's values as floats. A float or
+    integer array, as ``load_table`` gives, is taken as it is. Otherwise a
+    value that is a bool, a None or a string that does not parse as a number
+    raises a SchemaError naming its row (or the query) and column."""
+    if isinstance(raw, np.ndarray) and raw.dtype.kind in "iuf":
+        return np.asarray(raw, dtype=np.float64)
+    values = np.asarray(raw, dtype=object).tolist()
+    out = np.empty(len(values))
+    for r, v in enumerate(values):
+        if not isinstance(v, (bool, np.bool_)):
+            try:
+                out[r] = float(v)
+                continue
+            except (TypeError, ValueError):
+                pass
+        raise _value_error(attr, r, query, f"value {v!r} is not a number")
+    return out
+
+
 def _positions(attr: AttributeSchema) -> tuple[float, ...]:
     """Encoded positions of an ordered attribute's levels: (t+1)/(m+1)."""
     m = len(attr.levels)
@@ -232,7 +252,7 @@ def _encode_attribute(
     if attr.kind == "categorical":
         codes = _codes(attr, raw, query)
         return (codes[:, None] == np.arange(len(attr.categories))).astype(np.float64), None, 0
-    values = np.asarray(raw, dtype=np.float64)
+    values = _numbers(attr, raw, query)
     if attr.kind == "ordered_discrete":
         return np.asarray(_positions(attr))[_codes(attr, values, query)][:, None], None, 0
     finite = np.isfinite(values)

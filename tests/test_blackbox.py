@@ -13,6 +13,7 @@ from maire import (
     StoredColumnProvider,
     SyntheticOracle,
     SyntheticShape,
+    blackbox,
     predict_batch,
 )
 from maire.errors import ProviderError
@@ -107,7 +108,8 @@ for line in sys.stdin:
 
 
 class TestExternalCommand:
-    def test_round_trips_against_stored_column(self, tmp_path):
+    def test_round_trips_against_stored_column(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(blackbox, "EXTERNAL_CHUNK_SIZE", 256)  # 700 rows in three requests
         rng = np.random.default_rng(4)
         X = rng.random((700, 3))
         labels = rng.integers(0, 3, 700)
@@ -117,8 +119,7 @@ class TestExternalCommand:
         script.write_text(ECHO_SCRIPT)
         stored = predict_batch(StoredColumnProvider(X, labels), X)
         with ExternalCommandProvider(
-                f"{sys.executable} {script} {labels_file}", timeout_s=20.0,
-                chunk_size=256) as provider:
+                f"{sys.executable} {script} {labels_file}", timeout_s=20.0) as provider:
             external = predict_batch(provider, X)
         np.testing.assert_array_equal(external, stored)
 

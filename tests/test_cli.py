@@ -189,6 +189,14 @@ class TestExplainCommand:
         assert "--query-json" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_boolean_in_query_json_exits_1_naming_the_column(self, tmp_path, tabular, capsys):
+        _, schema, _, plain = tabular
+        code = run("explain", "--data", plain, "--schema", schema, "--oracle", "rect",
+                   "--query-json", "[true, 0.5]", "--iters", "5", "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert "column 'x0': value True is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("query", [["--query-row", "7"], ["--query-row", "-1"],
                                        ["--query-json", "[0.5, \"a\"]"]])
     def test_bad_query_fails_before_the_predictor_starts(self, tmp_path, capsys,

@@ -1,6 +1,7 @@
 """Soft indicator, exact measures, and bound audits."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from maire import (
     pre_exact_or_none,
     pre_hat,
 )
-from maire.indicator import BoxStats, coverage_hypothesis_met
+from maire.indicator import BoxStats, _gamma_slope, coverage_hypothesis_met
 
 DEFAULTS = ApproxConstants()
 
@@ -34,6 +35,16 @@ def ref_gamma(z: float, k: ApproxConstants = DEFAULTS) -> float:
     if z < 0:
         return k.c1 * ref_sigmoid(k.c2 * z)
     return 0.5
+
+
+def ref_gamma_slope(z: float, k: ApproxConstants = DEFAULTS) -> tuple[Decimal, Decimal]:
+    """gamma(z) and its slope c1 c2 sigmoid (1 - sigmoid), to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e = (Decimal(k.c2) * Decimal(z)).exp()
+        sig = e / (1 + e)
+        step = Decimal(k.c3) * (1 if z > 0 else Decimal("0.5") if z == 0 else 0)
+        return Decimal(k.c1) * sig + step, Decimal(k.c1) * Decimal(k.c2) * sig * (1 - sig)
 
 
 def ref_membership(l, u, x, k: ApproxConstants = DEFAULTS) -> float:
@@ -97,6 +108,22 @@ class TestGamma:
     @given(st.floats(-2, 2))
     def test_range_strictly_interior_where_representable(self, z):
         assert 0.0 < gamma(z) < 1.0
+
+
+class TestSoftAndTail:
+    """The soft AND's gamma is summed over rows directly, so its values far
+    below zero must keep their relative precision. The two-sided exponential
+    form in ``_gamma_slope`` does; a tanh form rounds them to 0."""
+
+    def test_values_and_slopes_match_a_50_digit_reference(self):
+        z = np.append(np.linspace(-40.0, 0.2, 2001), 0.0)  # c2 z down to -600
+        value, slope = _gamma_slope(z, DEFAULTS)
+        worst = Decimal(0)
+        for zi, v, s in zip(z.tolist(), value.tolist(), slope.tolist()):
+            ref_v, ref_s = ref_gamma_slope(zi)
+            worst = max(worst, abs(Decimal(v) - ref_v) / ref_v, abs(Decimal(s) - ref_s) / ref_s)
+        assert worst < Decimal("1e-12")
+        assert value[-1] == 0.5
 
 
 class TestConstants:

@@ -21,6 +21,7 @@ from maire.optimize import TRACE_COLUMNS, _gate
 from maire.synthetic import synthetic_dataset
 
 OBJECTIVE = TRACE_COLUMNS.index("objective")
+VIOLATION = TRACE_COLUMNS.index("violation")
 
 K = ApproxConstants()
 
@@ -218,6 +219,18 @@ class TestOptimize:
         cfg = OptimizerConfig(precision_threshold=0.7, max_iters=200)
         box, _ = optimize(initial_bounds(q), q, X, labels, 1, cfg)
         assert box.contains(q)
+
+    def test_crossed_axis_is_traced_after_its_projection(self):
+        # both bounds start 0.2 past the query, crossed. One step moves each
+        # by about lr and leaves the axis crossed, so both are projected onto
+        # their midpoint, next to the query. The trace must read that
+        # projected iterate: violation near 0, not near 0.4
+        rng = np.random.default_rng(0)
+        X = rng.random((200, 1))
+        cfg = OptimizerConfig(max_iters=1)
+        _, trace = optimize(BoxBounds([0.7], [0.3]), np.array([0.5]), X,
+                            (X[:, 0] > 0.5).astype(int), 1, cfg)
+        assert trace.values[0, VIOLATION] < 2 * cfg.learning_rate
 
     def test_rectangle_recovery_quick(self):
         shape, space, labels = synthetic_dataset("rect", 2500, seed=3)

@@ -1,5 +1,7 @@
 """Table loading, encoding, bound decoding, and discrete snapping."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -232,6 +234,38 @@ class TestEncode:
         space = encode(table)
         with pytest.raises(SchemaError, match=r"query column 'Sex': unknown category 'X'"):
             space.encode_instance([20.0, "X"])
+
+    NUMERIC = [AttributeSchema(name="a", kind="continuous"),
+               AttributeSchema(name="g", kind="ordered_discrete", levels=(1, 2, 3))]
+
+    def numeric_table(self, column=None, bad=None):
+        """A continuous column 'a' and an ordered column 'g', object arrays
+        as built in Python, with ``bad`` in row 1 of ``column``."""
+        cells = {"a": [0.1, 0.5, 0.9], "g": [1.0, 2.0, 3.0]}
+        if column:
+            cells[column][1] = bad
+        return RawTable(self.NUMERIC, [np.asarray(cells[c], dtype=object) for c in ("a", "g")])
+
+    @pytest.mark.parametrize("column", ["a", "g"])
+    @pytest.mark.parametrize("bad", [True, None, "abc"])
+    def test_non_number_in_a_table_names_row_and_column(self, column, bad):
+        message = rf"row 1 column '{column}': value {re.escape(repr(bad))} is not a number"
+        with pytest.raises(SchemaError, match=message):
+            encode(self.numeric_table(column, bad))
+
+    @pytest.mark.parametrize("column", ["a", "g"])
+    @pytest.mark.parametrize("bad", [True, None, "abc"])
+    def test_non_number_in_a_query_names_the_column(self, column, bad):
+        space = encode(self.numeric_table())
+        query = {"a": 0.5, "g": 2.0, column: bad}
+        message = rf"query column '{column}': value {re.escape(repr(bad))} is not a number"
+        with pytest.raises(SchemaError, match=message):
+            space.encode_instance([query["a"], query["g"]])
+
+    def test_numeric_strings_encode_as_their_numbers(self):
+        space = encode(self.numeric_table("a", "0.5"))
+        assert space.matrix[1, 0] == 0.5
+        assert space.encode_instance(["0.9", "3"]).tolist() == [1.0, 0.75]
 
     def test_level_within_tolerance_encodes_as_query_does(self):
         schema = [AttributeSchema(name="g", kind="ordered_discrete", levels=(1, 2, 3))]
