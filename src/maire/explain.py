@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blackbox import PredictionProvider, predict_batch
-from .indicator import ApproxConstants, BoxBounds, BoxStats, cov_exact, pre_exact_or_none
+from .indicator import (ApproxConstants, BoxBounds, BoxStats, cov_exact, in_box_counts, outside,
+                        pre_exact_or_none)
 from .optimize import (
     BLOCK_BYTES,
     OptimizationTrace,
@@ -117,15 +118,13 @@ def _eliminate_many(
     """
     a, n = match.shape
     names = [attr.name for attr in space.attributes]
-    starts = np.searchsorted(space.attr_of, np.arange(len(names)))  # each attribute's first column
-    # out[i, j, r]: row r lies outside box i on attribute j. Built from bool
-    # comparisons one column at a time, so no temporary spans two columns
-    out = np.zeros((a, len(names), n), dtype=bool)
-    for c, j in enumerate(space.attr_of):
-        out[:, j] |= columns[c] < L[:, c, None]
-        out[:, j] |= columns[c] > U[:, c, None]
+    starts = np.searchsorted(space.attr_of, np.arange(len(names) + 1))  # each attribute's columns
+    # out[i, j, r]: row r lies outside box i on attribute j, one attribute at
+    # a time (a reduceat along the middle axis takes ten times as long)
+    out = np.stack([outside(L[:, s:e], U[:, s:e], columns[s:e]).any(axis=1)
+                    for s, e in zip(starts, starts[1:])], axis=1)
     # the attributes that constrain each box
-    active = np.logical_or.reduceat((L > 0.0) | (U < 1.0), starts, axis=1)
+    active = np.logical_or.reduceat((L > 0.0) | (U < 1.0), starts[:-1], axis=1)
     # (A, N): attributes each row violates, in the smallest integer that holds them
     violations = out.sum(axis=1, dtype=np.min_scalar_type(len(names)))
     removed = np.zeros_like(active)
@@ -133,10 +132,8 @@ def _eliminate_many(
     paths: list[list[float]] = [[] for _ in range(a)]
 
     def measure(inside, match):
-        """Coverage, precision (0 where empty) and non-emptiness of (..., N)
-        row masks; overwrites ``inside``."""
-        n_in = inside.sum(axis=-1)
-        n_match = np.logical_and(inside, match, out=inside).sum(axis=-1)
+        """Coverage, precision (0 where empty) and non-emptiness of (..., N) row masks."""
+        n_in, n_match = in_box_counts(inside, match)
         pre = np.where(n_in > 0, n_match / np.maximum(n_in, 1), 0.0)
         return n_in / n, pre, n_in > 0
 
@@ -207,7 +204,7 @@ def _finish(
     # step's candidate mask and a copy made when boxes drop out, all bool,
     # and a few per-row arrays
     size = max(1, BLOCK_BYTES // (len(X) * (3 * len(space.attributes) + 16)))
-    columns = np.ascontiguousarray(X.T)  # contiguous rows, for the per-column comparisons
+    columns = np.ascontiguousarray(X.T)  # the in-box test is 3-10x slower on a view
     eliminated = []
     for s in range(0, len(boxes), size):
         block = boxes[s:s + size]

@@ -121,8 +121,7 @@ def global_predict(g: GlobalExplanation, x: np.ndarray) -> int | None:
 
     Ties break toward the smallest label value.
     """
-    point = np.asarray(x, dtype=np.float64)[None, :]
-    voters = [m.query_label for m in g.members if inside_mask(m.bounds, point)[0]]
+    voters = [m.query_label for m in g.members if m.bounds.contains(x)]
     if not voters:
         return None
     labels, counts = np.unique(voters, return_counts=True)

@@ -95,7 +95,7 @@ class BoxBounds:
         return float(np.prod(np.maximum(self.u - self.l, 0.0)))
 
     def contains(self, x: np.ndarray) -> bool:
-        return bool(np.all((np.asarray(x) >= self.l) & (np.asarray(x) <= self.u)))
+        return bool(inside_mask(self, np.asarray(x)[None])[0])
 
     def signed(self) -> np.ndarray:
         """The signed bounds (l, -u) that ``BoxStats`` and the ascent work in."""
@@ -107,16 +107,25 @@ class BoxBounds:
         return cls(s[:s.size // 2], 0.0 - s[s.size // 2:])
 
 
-def inside_mask(b: BoxBounds, points: np.ndarray) -> np.ndarray:
-    """Exact membership mask: l_j <= x_j <= u_j on every axis.
+def outside(L: np.ndarray, U: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The one exact in-box test besides ``BoxStats.forward``'s fused count:
+    out[a, c, r] is false when L[a, c] <= columns[c, r] <= U[a, c], for
+    (A, D) bounds and the data as (D, N) columns (a NaN is outside). Bounds
+    are inclusive, so snapped discrete bounds admit the levels they admitted
+    before snapping, and the full-range box covers every point."""
+    out = columns >= L[:, :, None]
+    out &= columns <= U[:, :, None]
+    return np.logical_not(out, out=out)
 
-    Bounds produced by gradient ascent almost never coincide with data
-    values, so the boundary convention only matters for snapped discrete
-    bounds; inclusive bounds keep the admitted level set identical before
-    and after snapping, and let the full-range box cover every point.
-    """
-    X = np.asarray(points, dtype=np.float64)
-    return ((X >= b.l) & (X <= b.u)).all(axis=1)
+
+def in_box_counts(inside: np.ndarray, match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n_in, n_match) of (..., N) in-box masks and 0/1 or bool ``match`` rows."""
+    return np.add.reduce(inside, axis=-1), np.add.reduce(inside & (match > 0.5), axis=-1)
+
+
+def inside_mask(b: BoxBounds, points: np.ndarray) -> np.ndarray:
+    """Exact membership mask of (N, D) points: l_j <= x_j <= u_j on every axis."""
+    return ~outside(b.l[None], b.u[None], np.asarray(points, dtype=np.float64).T)[0].any(axis=0)
 
 
 def _gamma_slope(z: np.ndarray, k: ApproxConstants) -> tuple[np.ndarray, np.ndarray]:
@@ -196,6 +205,7 @@ class BoxStats:
         if n == 0:
             raise ValueError("points must be nonempty")
         self.k, self.n, self.d = k, n, d
+        self.X = X  # the caller's table when it is float64; recounts read it, not a copy
 
         columns = np.ascontiguousarray(X.T)
         found = [np.unique(col) for col in columns]
@@ -292,13 +302,14 @@ class BoxStats:
             np.square(T2, out=T2)
         if self.level_val.size:
             self._level_slope = 1.0 - tz * tz
+        n_in, n_match = in_box_counts(inside, match)
         return BoxPass(
             h_sum=np.maximum(h.sum(axis=1), 1e-300),  # h > 0 except at underflow-extreme c2
             # one BLAS dot per row, as for a single box
             match_sum=(h[:, None, :] @ match[:, :, None])[:, 0, 0],
             slope=slope,
-            n_in=np.add.reduce(inside, axis=1),
-            n_match=np.add.reduce(inside & (match > 0.5), axis=1),
+            n_in=n_in,
+            n_match=n_match,
         )
 
     def backward(self, weights: np.ndarray) -> np.ndarray:
@@ -320,16 +331,6 @@ class BoxStats:
                 per_level.reshape(a, -1), self._level_starts, axis=1)
         return grad
 
-    def exact(self, s: np.ndarray, match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows inside each box and, of those, label-matching rows: two (A,) arrays."""
-        inside = True
-        if self.dense.size:
-            inside = (self._Xs >= s[:, self._dense_s, None]).all(axis=1)
-        if self.level_val.size:
-            outside = (self._Vs < s[:, self._level_s]).reshape(s.shape[0], 2, -1).any(axis=1)
-            inside = inside & (outside @ self.L == 0.0)
-        return np.add.reduce(inside, axis=1), np.add.reduce(inside & (match > 0.5), axis=1)
-
 
 def membership_h(b: BoxBounds, x: np.ndarray, k: ApproxConstants = ApproxConstants()) -> float:
     """Soft membership of a single point in the box."""
@@ -348,11 +349,10 @@ def pre_exact_or_none(b: BoxBounds, points: np.ndarray, labels: np.ndarray,
                       query_label: int) -> float | None:
     """Fraction of in-box points whose label equals ``query_label``; None
     for an empty box, where precision is undefined."""
-    mask = inside_mask(b, points)
-    n_in = int(mask.sum())
+    n_in, n_match = in_box_counts(inside_mask(b, points), np.asarray(labels) == query_label)
     if n_in == 0:
         return None
-    return float((mask & (np.asarray(labels) == query_label)).sum() / n_in)
+    return float(n_match / n_in)
 
 
 def cov_hat(b: BoxBounds, points: np.ndarray, k: ApproxConstants = ApproxConstants()) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indicator import ApproxConstants, BoxBounds, BoxPass, BoxStats
+from .indicator import ApproxConstants, BoxBounds, BoxPass, BoxStats, in_box_counts, outside
 
 log = logging.getLogger(__name__)
 
@@ -269,17 +269,19 @@ def _ascend(
     best_iteration = np.zeros(a, dtype=np.intp)
     logged = []  # (C, A, 6) trace values per stretch
 
-    def rank(S, outside, cov, pre, violation, first):
+    def rank(S, past, cov, pre, violation, first):
         """Fold iterations first, first + 1, ... into the best iterates. Rows
         are iterations: (C, A, 2D) signed bounds and which of them lie past
         the query, (C, A) per-box values."""
         if cfg.containment_snap:
             # the snap moves onto the query the bounds that lie past it; the
-            # iterates it moved are recounted together
-            S = np.where(outside, qs, S)
+            # iterates it moved are recounted over the table one at a time
+            S = np.where(past, qs, S)
             moved = violation > 0.0
             if moved.any():
-                n_in, n_match = stats.exact(S[moved], match[np.nonzero(moved)[1]])
+                n_in, n_match = np.array([in_box_counts(
+                    ~outside(t[None, :d], -t[None, d:], stats.X.T)[0].any(axis=0), match[box])
+                    for t, box in zip(S[moved], np.nonzero(moved)[1])]).T
                 cov, pre = cov.copy(), pre.copy()
                 cov[moved] = n_in / n
                 pre[moved] = _precision(n_match, n_in)
@@ -293,11 +295,11 @@ def _ascend(
         best_iteration[better] = first + row[better]
 
     p, grad = _step(stats, s, qs, match, cfg)
-    outside, violation = _containment(s, qs)
+    past, violation = _containment(s, qs)
     _, _, _, cov, pre, _ = _terms(p.h_sum, p.match_sum, p.n_in, p.n_match, violation, cfg, n)
     if np.isnan(pre).any():
         log.debug("initial box empty: precision gate forced active")
-    rank(s[None], outside[None], cov[None], pre[None], violation[None], 0)
+    rank(s[None], past[None], cov[None], pre[None], violation[None], 0)
 
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     S = np.empty((min(STRETCH, cfg.max_iters), a, 2 * d))  # the stretch's iterates
@@ -323,9 +325,9 @@ def _ascend(
             p, grad = _step(stats, s, qs, match, cfg)
             sums.append((p.h_sum, p.match_sum, p.n_in, p.n_match))
         rows = len(sums)
-        outside, violation = _containment(S[:rows], qs)
+        past, violation = _containment(S[:rows], qs)
         terms = _terms(*(np.array(x) for x in zip(*sums)), violation, cfg, n)
-        rank(S[:rows], outside, terms[3], terms[4], violation, first)
+        rank(S[:rows], past, terms[3], terms[4], violation, first)
         logged.append(np.stack(terms, axis=2))
 
     values = np.concatenate(logged)  # (T, A, 6): box i's trace is values[:, i]

@@ -12,7 +12,7 @@ import csv
 import functools
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -193,7 +193,10 @@ def _codes(attr: AttributeSchema, values: np.ndarray, query: bool = False) -> np
     query) and column."""
     if attr.kind == "categorical":
         index = {c: t for t, c in enumerate(attr.categories)}
-        codes = np.asarray([index.get(v, -1) for v in values], dtype=np.intp)
+        # categories are strings, so a value of any other type (an unhashable
+        # one too) is unknown
+        codes = np.asarray([index.get(v, -1) if isinstance(v, str) else -1 for v in values],
+                           dtype=np.intp)
         bad = codes < 0
         what = "unknown category {!r}"
     else:
@@ -279,7 +282,9 @@ class EncodedSpace:
     attribute each encoded column belongs to, and an attribute's columns
     are contiguous and in declaration order (one-hot columns in category
     order); ``normalizers`` holds the fitted (min, max) per continuous
-    attribute in raw units.
+    attribute in raw units, and ``raw_values`` its raw value per row (the
+    table's own array where it held floats), which ``decode_bounds`` writes
+    bounds to separate.
     """
 
     matrix: np.ndarray
@@ -287,6 +292,7 @@ class EncodedSpace:
     attributes: list[AttributeSchema]
     normalizers: dict[int, tuple[float, float]]
     clamp_warnings: int = 0
+    raw_values: dict[int, np.ndarray] = field(default_factory=dict)
 
     @functools.cached_property
     def _discrete_positions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -327,9 +333,13 @@ def encode(table: RawTable, schema: list[AttributeSchema] | None = None) -> Enco
     blocks: list[np.ndarray] = []
     attr_of: list[int] = []
     normalizers: dict[int, tuple[float, float]] = {}
+    raw_values: dict[int, np.ndarray] = {}
     clamps = 0
     for i, attr in enumerate(attrs):
-        block, scale, clamped = _encode_attribute(attr, table.columns[i])
+        raw = table.columns[i]
+        if attr.kind == "continuous":
+            raw = raw_values[i] = _numbers(attr, raw, False)
+        block, scale, clamped = _encode_attribute(attr, raw)
         blocks.append(block)
         clamps += clamped
         if scale is not None:
@@ -337,7 +347,7 @@ def encode(table: RawTable, schema: list[AttributeSchema] | None = None) -> Enco
         attr_of += [i] * block.shape[1]
     matrix = np.hstack(blocks) if blocks else np.zeros((table.n_rows, 0))
     return EncodedSpace(matrix, np.asarray(attr_of, dtype=np.intp), attrs, normalizers,
-                        clamp_warnings=clamps)
+                        clamp_warnings=clamps, raw_values=raw_values)
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +358,14 @@ def encode(table: RawTable, schema: list[AttributeSchema] | None = None) -> Enco
 class RuleClause:
     """One human-readable condition on a raw attribute.
 
-    Forms: ``interval`` (raw-unit range, rendered "lo < x <= hi"),
+    Forms: ``interval`` (raw-unit range, rendered "lo ≤ x ≤ hi"),
     ``equality`` (one category), ``category_set`` (several categories, in
     declared order) and ``ordered_interval`` (inclusive span of consecutive
-    declared levels). Satisfaction mirrors box membership, so
-    both endpoints count as inside; the strict "<" in the rendered text is
-    a display convention.
+    declared levels). Both endpoints count as inside, as in the box, and
+    ``satisfied`` reads the bounds as written. ``decimals`` gives the
+    decimals each side of a range is written with, the lower bound rounded
+    down and the upper one up; None leaves an interval's side out (it sits
+    at the edge of the range, so it admits every value there).
     """
 
     attribute: str
@@ -362,26 +374,37 @@ class RuleClause:
     hi: float | None = None
     category: str | None = None
     categories: tuple[str, ...] | None = None
+    decimals: tuple[int | None, int | None] = (2, 2)
 
     def text(self) -> str:
         if self.form == "equality":
             return f"{self.attribute} = {self.category}"
         if self.form == "category_set":
             return f"{self.attribute} ∈ {{{', '.join(self.categories)}}}"
-        if self.form == "interval":
-            return f"{self.lo:.2f} < {self.attribute} ≤ {self.hi:.2f}"
-        if self.lo == self.hi:
-            return f"{self.attribute} = {self.lo:.2f}"
-        return f"{self.lo:.2f} ≤ {self.attribute} ≤ {self.hi:.2f}"
+        lo, hi = self._written_bounds()
+        if lo is None:
+            return f"{self.attribute} ≤ {hi}"
+        if hi is None:
+            return f"{self.attribute} ≥ {lo}"
+        if self.form == "ordered_interval" and self.lo == self.hi:
+            return f"{self.attribute} = {lo}"
+        return f"{lo} ≤ {self.attribute} ≤ {hi}"
 
     def satisfied(self, value) -> bool:
         if self.form == "equality":
             return value == self.category
         if self.form == "category_set":
             return value in self.categories
+        # the bounds as written, which admit exactly the box's rows of the table
         v = float(value)
-        tol = 1e-9 * max(1.0, abs(self.lo), abs(self.hi))  # decode multiplies back, allow 1-ulp drift
-        return self.lo - tol <= v <= self.hi + tol
+        lo, hi = self._written_bounds()
+        return (lo is None or float(lo) <= v) and (hi is None or v <= float(hi))
+
+    def _written_bounds(self) -> tuple[str | None, str | None]:
+        """The range's bounds as written, None for a side left out."""
+        lo_d, hi_d = self.decimals
+        return (None if lo_d is None else _written(self.lo, lo_d, down=True),
+                None if hi_d is None else _written(self.hi, hi_d, down=False))
 
     def to_dict(self) -> dict:
         out = {"attribute": self.attribute, "form": self.form, "text": self.text()}
@@ -415,8 +438,7 @@ def decode_bounds(l: np.ndarray, u: np.ndarray, space: EncodedSpace) -> list[Rul
         attr = space.attributes[i]
         cols = space.columns_of(i)
         if attr.kind == "continuous":
-            lo_raw, hi_raw = _interval_raw(space, i, l[cols[0]], u[cols[0]])
-            clauses.append(RuleClause(attr.name, "interval", lo=lo_raw, hi=hi_raw))
+            clauses.append(_interval(space, i, l[cols[0]], u[cols[0]]))
         elif attr.kind == "ordered_discrete":
             enc = np.asarray(_positions(attr))
             admitted = np.nonzero((enc >= l[cols[0]]) & (enc <= u[cols[0]]))[0]
@@ -425,8 +447,11 @@ def decode_bounds(l: np.ndarray, u: np.ndarray, space: EncodedSpace) -> list[Rul
                     f"attribute {attr.name!r}: bounds admit no declared level")
             if admitted.size == enc.size:
                 continue
-            clauses.append(RuleClause(attr.name, "ordered_interval",
-                                      lo=attr.levels[admitted[0]], hi=attr.levels[admitted[-1]]))
+            lo, hi = attr.levels[admitted[0]], attr.levels[admitted[-1]]
+            # levels are written to read back as themselves
+            clauses.append(RuleClause(attr.name, "ordered_interval", lo=lo, hi=hi,
+                                      decimals=(_decimals(lo, lo, lo, True),
+                                                _decimals(hi, hi, hi, False))))
         else:
             excludes0 = l[cols] > 0.0
             allowed = (u[cols] >= 1.0) & (excludes0.sum() - excludes0 == 0)
@@ -442,10 +467,41 @@ def decode_bounds(l: np.ndarray, u: np.ndarray, space: EncodedSpace) -> list[Rul
     return clauses
 
 
-def _interval_raw(space: EncodedSpace, attr_index: int, lo: float, hi: float) -> tuple[float, float]:
+def _written(value: float, decimals: int, down: bool) -> str:
+    """``value`` written with ``decimals`` (at least one) decimals, rounded
+    exactly down or up; a zero is written without a sign."""
+    p, q = float(value).as_integer_ratio()
+    k = p * 10 ** decimals // q if down else -(-p * 10 ** decimals // q)
+    digits = f"{abs(k):0{decimals + 1}d}"
+    return f"{'-' if k < 0 else ''}{digits[:-decimals]}.{digits[-decimals:]}"
+
+
+def _decimals(bound: float, low: float, high: float, down: bool) -> int:
+    """Fewest decimals, two at least, at which ``bound``, written out and
+    rounded down or up, reads back as a number in [low, high]; 17 where none
+    does."""
+    return next((d for d in range(2, 17) if low <= float(_written(bound, d, down)) <= high), 17)
+
+
+def _interval(space: EncodedSpace, attr_index: int, l: float, u: float) -> RuleClause:
+    """The clause of encoded bounds ``l`` and ``u`` on a continuous attribute,
+    in raw units. Each side is written with the fewest decimals at which it
+    admits the same raw values of the table as the box does, so it lies
+    between the nearest values inside and outside; a side at the edge of the
+    range is left out."""
     a, b = space.normalizers[attr_index]
     span = b - a
-    return a + lo * span, a + hi * span
+    lo, hi = a + l * span, a + u * span
+    values = space.raw_values[attr_index]
+    z = space.matrix[:, space.columns_of(attr_index)[0]]
+    decimals = (None if l <= 0.0 else _decimals(
+                    lo, np.nextafter(values[z < l].max(initial=-np.inf), np.inf),
+                    values[z >= l].min(initial=np.inf), True),
+                None if u >= 1.0 else _decimals(
+                    hi, values[z <= u].max(initial=-np.inf),
+                    np.nextafter(values[z > u].min(initial=np.inf), -np.inf), False))
+    return RuleClause(space.attributes[attr_index].name, "interval", lo=lo, hi=hi,
+                      decimals=decimals)
 
 
 def snap_discrete(bounds: BoxBounds, space: EncodedSpace) -> BoxBounds:

@@ -385,7 +385,11 @@ class TestRender:
 
     def test_interval_formatting_two_decimals(self):
         from maire.schema import RuleClause
-        assert RuleClause("Age", "interval", lo=17.0, hi=43.0).text() == "17.00 < Age ≤ 43.00"
+        assert RuleClause("Age", "interval", lo=17.0, hi=43.0).text() == "17.00 ≤ Age ≤ 43.00"
+        assert RuleClause("Age", "interval", lo=47.75, hi=90.0,
+                          decimals=(2, None)).text() == "Age ≥ 47.75"
+        assert RuleClause("Age", "interval", lo=18.0, hi=36.125,
+                          decimals=(None, 3)).text() == "Age ≤ 36.125"
         assert RuleClause("Sex", "equality", category="F").text() == "Sex = F"
         assert RuleClause("g", "ordered_interval", lo=2.0, hi=4.0).text() == "2.00 ≤ g ≤ 4.00"
         assert RuleClause("g", "ordered_interval", lo=2.0, hi=2.0).text() == "g = 2.00"

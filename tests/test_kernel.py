@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maire import ApproxConstants, BoxBounds, OptimizerConfig, cov_hat, gradient, objective, pre_hat
-from maire.indicator import LEVEL_LIMIT, BoxStats, soft_measures
+from maire.indicator import LEVEL_LIMIT, BoxStats, in_box_counts, outside, soft_measures
 
 # the package exports a function of the same name
 optimize_module = importlib.import_module("maire.optimize")
@@ -120,6 +120,11 @@ def draw_box(mode, X, rng):
 BOX_MODES = ["random", "inverted", "empty", "full", "on-data"]
 
 
+def exact_counts(L, U, X, match):
+    """In-box and matching rows of (A, D) boxes from the one exact in-box test."""
+    return in_box_counts(~outside(L, U, X.T).any(axis=1), match)
+
+
 def close(got, want, rel=1e-9):
     want = np.asarray(want, dtype=np.float64)
     scale = float(np.abs(want).max(initial=0.0))
@@ -147,7 +152,7 @@ def test_objective_gradient_and_counts_match_reference(table, mode, threshold, s
     stats = BoxStats(X, k)
     p = stats.forward(b.signed()[None], match[None])
     assert (p.n_in[0], p.n_match[0]) == (n_in, n_match)
-    assert [c[0] for c in stats.exact(b.signed()[None], match[None])] == [n_in, n_match]
+    assert [c[0] for c in exact_counts(l[None], u[None], X, match[None])] == [n_in, n_match]
 
 
 @settings(max_examples=200, deadline=None)
@@ -225,7 +230,7 @@ def test_many_boxes_in_one_pass_match_single_passes(table, modes, threshold, sca
     S, qs = np.concatenate([L, -U], axis=1), np.concatenate([Q, -Q], axis=1)
     p = stats.forward(S, match)
     back = stats.backward(weights)
-    n_in, n_match = stats.exact(S, match)
+    n_in, n_match = exact_counts(L, U, X, match)
     violation = optimize_module._containment(S, qs)[1]
     obj = optimize_module._terms(p.h_sum, p.match_sum, p.n_in, p.n_match, violation, cfg, n)[0]
     grad = optimize_module._step(stats, S, qs, match, cfg)[1]
@@ -275,7 +280,7 @@ def test_folded_gradient_equals_two_row_quotient_rule(table, modes, gate_at, sca
     S, qs = np.concatenate([lu[:, :d], -lu[:, d:]], axis=1), np.concatenate([Q, -Q], axis=1)
     match = (labels == rng.integers(0, 3, len(boxes))[:, None]).astype(np.float64)
     # put the first box's exact precision below, at or above the threshold
-    n_in, n_match = (int(c[0]) for c in stats.exact(S[:1], match[:1]))
+    n_in, n_match = (int(c[0]) for c in exact_counts(lu[:1, :d], lu[:1, d:], X, match[:1]))
     pre = n_match / n_in if n_in else 0.0
     threshold = {"below": pre + 0.01, "at": pre, "above": pre - 0.01}[gate_at]
     cfg = OptimizerConfig(precision_threshold=float(np.clip(threshold, 1e-3, 1.0)))

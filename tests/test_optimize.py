@@ -249,6 +249,25 @@ class TestOptimize:
         box, _ = optimize(initial_bounds(q), q, space.matrix, labels, 1, cfg)
         assert box.contains(q)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_feasibility_is_the_returned_snapped_box_s(self, seed):
+        # the ascent starts past the query and, without the hinge penalty,
+        # its iterates stay past it or cross it; the snap moves their bounds
+        # back onto it and recounts them, and the flag must describe the box
+        # returned
+        rng = np.random.default_rng(seed)
+        n = 150
+        X = np.column_stack([rng.random(n), rng.random(n), rng.integers(0, 3, n) / 2.0])
+        labels = (X[:, 0] + 0.5 * rng.random(n) > 0.7).astype(int)
+        q, label = np.array([0.3, 0.5, 0.5]), 1
+        start = BoxBounds([0.35, 0.2, 0.0], [0.8, 0.8, 1.0])
+        cfg = OptimizerConfig(precision_threshold=0.8, lambda2=0.0, max_iters=300)
+        box, trace = optimize(start, q, X, labels, label, cfg)
+        assert (trace.values[:, VIOLATION] > 0.0).any()
+        assert box.contains(q)
+        pre = pre_exact_or_none(box, X, labels, label)
+        assert trace.feasible == (pre is not None and pre >= cfg.precision_threshold)
+
     def test_convergence_flag_on_flat_objective(self):
         # far-away data saturates every sigmoid: gradients vanish, objective
         # flattens, and the ascent still runs max_iters (100 = 3 stretches + 4)

@@ -1,13 +1,18 @@
 """Table loading, encoding, bound decoding, and discrete snapping."""
 
+import functools
+import importlib.util
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from maire import AttributeSchema, BoxBounds, cov_exact, decode_bounds, encode, load_schema, load_table, snap_discrete
+from maire import OptimizerConfig
 from maire.errors import InconsistentExplanationError, LoadError, SchemaError
+from maire.explain import explain_many
 from maire.indicator import inside_mask, pre_exact_or_none
 from maire.schema import RawTable, nontrivial_attributes
 
@@ -228,6 +233,16 @@ class TestEncode:
         with pytest.raises(SchemaError, match=r"row 2 column 'g': value 2.5 is not a declared level"):
             encode(table)
 
+    def test_unhashable_category_names_row_and_column(self, people_schema):
+        sex = np.empty(3, dtype=object)
+        sex[:] = ["M", ["F"], "M"]
+        table = RawTable(people_schema, [np.array([17.0, 30.0, 43.0]), sex])
+        with pytest.raises(SchemaError, match=r"row 1 column 'Sex': unknown category \['F'\]"):
+            encode(table)
+        table.columns[1][1] = "F"
+        with pytest.raises(SchemaError, match=r"query column 'Sex': unknown category \['M'\]"):
+            encode(table).encode_instance([20.0, ["M"]])
+
     def test_query_errors_name_the_query_and_column(self, people_schema):
         table = RawTable(people_schema, [np.array([17.0, 30.0]),
                                          np.asarray(["M", "F"], dtype=object)])
@@ -402,7 +417,10 @@ class TestDecodeBounds:
         c = clauses[0]
         assert c.form == "interval"
         assert (c.lo, c.hi) == pytest.approx((17 + 0.25 * 26, 17 + 0.75 * 26))
-        assert c.text() == "23.50 < Age ≤ 36.50"
+        assert c.text() == "23.50 ≤ Age ≤ 36.50"
+        # a side at the edge of the range is left out
+        clauses = decode_bounds(np.array([0.25, 0, 0, 0]), np.array([1.0, 1, 1, 1]), space)
+        assert clauses[0].text() == "Age ≥ 23.50"
 
     def test_requires_ordered_pair(self):
         space = self.make_space()
@@ -534,3 +552,109 @@ class TestNontrivialAttributes:
         assert nontrivial_attributes(l, u, space) == [0]
         l[2] = 0.5
         assert nontrivial_attributes(l, u, space) == [0, 1]
+
+
+def written_rows(text, schema, columns):
+    """The rows of raw ``columns`` that a written rule admits, read from its
+    text alone."""
+    kind = {a.name: a.kind for a in schema}
+    column = {a.name: c for a, c in zip(schema, columns)}
+    rows = np.ones(len(columns[0]), dtype=bool)
+    for clause in ([] if text == "TRUE" else text.split(" ∧ ")):
+        between = re.fullmatch(r"(\S+) ≤ (\w+) ≤ (\S+)", clause)
+        if between:
+            lo, name, hi = between.groups()
+            v = column[name].astype(np.float64)
+            rows &= (float(lo) <= v) & (v <= float(hi))
+            continue
+        name, op, rhs = re.fullmatch(r"(\w+) ([≤≥=∈]) (.+)", clause).groups()
+        v = column[name]
+        if op == "∈":
+            rows &= np.asarray([x in rhs[1:-1].split(", ") for x in v])
+        elif kind[name] == "categorical":
+            rows &= v == rhs
+        else:
+            v = v.astype(np.float64)
+            rows &= {"≤": v <= float(rhs), "≥": v >= float(rhs), "=": v == float(rhs)}[op]
+    return rows
+
+
+@functools.cache
+def bench_tables():
+    """The bench's table generator, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tables.py"
+    spec = importlib.util.spec_from_file_location("bench_tables", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_schema(tables):
+    """The bench table's schema, read from its record."""
+    return [AttributeSchema(a["name"], a["kind"], levels=a.get("levels"),
+                            categories=a.get("categories"), value_range=a.get("range"))
+            for a in tables.schema_record()["attributes"]]
+
+
+class TestWrittenRules:
+    """A written rule, parsed and applied to the raw table, admits exactly
+    the rows of its box."""
+
+    @pytest.fixture(scope="class")
+    def population(self, tmp_path_factory):
+        """A 300-row bench-population table as the CLI reads it, its encoding
+        and its labels."""
+        tables = bench_tables()
+        csv_path, schema_path = tables.write_table(tables.population(300, 7),
+                                                   tmp_path_factory.mktemp("population"))
+        schema = load_schema(str(schema_path))
+        table = load_table(str(csv_path), schema)
+        space = encode(table, schema)
+        return schema, table, space, tables.label_encoded(space.matrix)
+
+    def test_explanations_of_the_bench_population(self, population):
+        schema, table, space, labels = population
+        rows = np.random.default_rng(0).choice(len(labels), 24, replace=False)
+        for max_attrs in (2, 4):
+            expls = explain_many(space.matrix[rows], space, labels, labels[rows].tolist(),
+                                 OptimizerConfig(max_iters=300), max_attrs=max_attrs)
+            for expl in expls:
+                np.testing.assert_array_equal(
+                    written_rows(expl.rule_text(), schema, table.columns),
+                    inside_mask(expl.bounds, space.matrix), err_msg=expl.rule_text())
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), fitted=st.booleans())
+    def test_drawn_boxes(self, seed, n, fitted):
+        """Boxes with bounds drawn at random, on data values and on the range's
+        edges, on bench-population tables and on tables of full-precision
+        continuous values with fitted ranges."""
+        rng = np.random.default_rng(seed)
+        tables = bench_tables()
+        schema = bench_schema(tables)
+        columns = tables.population(n, int(rng.integers(1000)))
+        if fitted:
+            schema[:6] = [AttributeSchema(name=a.name, kind="continuous") for a in schema[:6]]
+            columns[:6] = [rng.normal(size=n) * 10.0 ** rng.integers(-3, 4) for _ in range(6)]
+        table = RawTable(schema, columns)
+        space = encode(table)
+        X = space.matrix
+        d = X.shape[1]
+        # per bound: random, on a data value, on the range's edge, or the anchor's
+        picks = rng.integers(0, 4, (2, d))
+        on_data = X[rng.integers(n, size=(2, d)), np.arange(d)]
+        drawn = [np.select([p == 0, p == 1, p == 2], [rng.random(d), data, edge], np.nan)
+                 for p, data, edge in zip(picks, on_data, (0.0, 1.0))]
+        anchor = X[rng.integers(n)]  # keeps every one-hot group satisfiable
+        l = np.fmin(np.fmin(*drawn), anchor)
+        u = np.fmax(np.fmax(*drawn), anchor)
+        bounds = snap_discrete(BoxBounds(l, u), space)
+        clauses = decode_bounds(bounds.l, bounds.u, space)
+        text = " ∧ ".join(c.text() for c in clauses) or "TRUE"
+        inside = inside_mask(bounds, X)
+        np.testing.assert_array_equal(written_rows(text, schema, table.columns), inside,
+                                      err_msg=text)
+        by_name = dict(zip([a.name for a in schema], columns))
+        np.testing.assert_array_equal(
+            [all(c.satisfied(by_name[c.attribute][r]) for c in clauses) for r in range(n)],
+            inside, err_msg=text)
