@@ -142,6 +142,15 @@ class SyntheticOracle(PredictionProvider):
         return self.shape.label(points)
 
 
+def split_command(command: str) -> list[str]:
+    """The argument list of a shell-style command line; ValueError when the
+    line does not parse or names no program."""
+    argv = shlex.split(command)
+    if not argv:
+        raise ValueError(f"command {command!r} names no program")
+    return argv
+
+
 class ExternalCommandProvider(PredictionProvider):
     """Labels from a child process.
 
@@ -157,7 +166,7 @@ class ExternalCommandProvider(PredictionProvider):
     def __init__(self, command: str, timeout_s: float = 30.0):
         if not (np.isfinite(timeout_s) and timeout_s > 0.0):
             raise ValueError(f"timeout_s must be a finite number above 0, got {timeout_s}")
-        self.command = command
+        self.argv = split_command(command)
         self.timeout_s = timeout_s
         self._proc: subprocess.Popen | None = None
         self._buffer = b""
@@ -167,7 +176,7 @@ class ExternalCommandProvider(PredictionProvider):
             self._stop(grace_s=0.0)  # the child exited after its last reply
         if self._proc is None:
             self._proc = subprocess.Popen(
-                shlex.split(self.command),
+                self.argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
             )

@@ -23,6 +23,7 @@ from .blackbox import (
     StoredColumnProvider,
     SyntheticOracle,
     predict_batch,
+    split_command,
 )
 from .errors import MaireError, SchemaError
 from .explain import Explanation, explain_encoded, explain_many
@@ -45,7 +46,8 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schema", help="attribute declaration JSON")
     p.add_argument("--label-column", help="CSV column holding stored black-box labels")
     p.add_argument("--oracle", choices=sorted(SHAPES), help="built-in synthetic oracle")
-    p.add_argument("--predictor-cmd", help="external predictor command (JSON line protocol)")
+    p.add_argument("--predictor-cmd", type=_command,
+                   help="external predictor command (JSON line protocol)")
     p.add_argument("--predictor-timeout-s", type=_positive_float, default=30.0,
                    help="seconds allowed for each predictor reply")
 
@@ -82,6 +84,15 @@ def _int_at_least(minimum: int):
 
 
 _positive_int = _int_at_least(1)
+
+
+def _command(text: str) -> str:
+    """argparse type: a shell-style command line that names a program."""
+    try:
+        split_command(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 # the run flags; each subcommand registers the ones it reads
@@ -194,6 +205,10 @@ def _load_tabular(args) -> tuple:
     if args.label_column:
         provider: PredictionProvider = StoredColumnProvider(space.matrix, table.labels)
     elif args.oracle:
+        dim, width = len(DEFAULT_QUERIES[args.oracle]), space.matrix.shape[1]
+        if width != dim:
+            raise MaireError(f"--oracle {args.oracle} reads {dim} encoded columns, but the "
+                             f"table encodes to {width}")
         provider = SyntheticOracle(SHAPES[args.oracle])
     else:
         provider = ExternalCommandProvider(args.predictor_cmd, timeout_s=args.predictor_timeout_s)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .blackbox import PredictionProvider, predict_batch
 from .indicator import (ApproxConstants, BoxBounds, BoxStats, cov_exact, in_box_counts, outside,
-                        pre_exact_or_none)
+                        pre_exact_or_none, precision)
 from .optimize import (
     BLOCK_BYTES,
     OptimizationTrace,
@@ -108,13 +108,14 @@ def _eliminate_many(
     (D, N) columns and (A, N) bool match rows in, the widened bounds and
     per-box orders and coverage paths out.
 
-    The boxes step together until none is left running. Each step counts
-    every candidate of every running box at once: after widening attribute
-    a, a row lies inside exactly when a is the only attribute it violates.
-    Each box then picks as ``lexsort`` would rank its candidates: removals
-    in the pool first, then by larger coverage, smaller precision loss and
-    lower attribute index (or, where no forced removal keeps precision, by
-    smaller loss, then larger coverage and lower index).
+    Every box and attribute keeps its row and column for the whole loop. A
+    box stops when its pool of removals is empty, and the loop ends when no
+    box has a pick. Each step counts every candidate of every box at once:
+    after widening attribute a, a row lies inside exactly when a is the only
+    attribute it violates. Each box then picks as ``lexsort`` would rank its
+    candidates: removals in the pool first, then by larger coverage, smaller
+    precision loss and lower attribute index (or, where no forced removal
+    keeps precision, by smaller loss, then larger coverage and lower index).
     """
     a, n = match.shape
     names = [attr.name for attr in space.attributes]
@@ -123,57 +124,44 @@ def _eliminate_many(
     # a time (a reduceat along the middle axis takes ten times as long)
     out = np.stack([outside(L[:, s:e], U[:, s:e], columns[s:e]).any(axis=1)
                     for s, e in zip(starts, starts[1:])], axis=1)
-    # the attributes that constrain each box
-    active = np.logical_or.reduceat((L > 0.0) | (U < 1.0), starts[:-1], axis=1)
+    # the attributes that constrain each box, and of those the ones not yet removed
+    constrained = np.logical_or.reduceat((L > 0.0) | (U < 1.0), starts[:-1], axis=1)
+    active = constrained.copy()
     # (A, N): attributes each row violates, in the smallest integer that holds them
     violations = out.sum(axis=1, dtype=np.min_scalar_type(len(names)))
-    removed = np.zeros_like(active)
     orders: list[list[str]] = [[] for _ in range(a)]
     paths: list[list[float]] = [[] for _ in range(a)]
 
     def measure(inside, match):
-        """Coverage, precision (0 where empty) and non-emptiness of (..., N) row masks."""
+        """Coverage and precision (0 where empty) of (..., N) row masks."""
         n_in, n_match = in_box_counts(inside, match)
-        pre = np.where(n_in > 0, n_match / np.maximum(n_in, 1), 0.0)
-        return n_in / n, pre, n_in > 0
+        return n_in / n, precision(n_in, n_match, empty=0.0)
 
-    run, ids = np.arange(a), np.arange(len(names))  # running boxes, candidate attributes
     while True:
-        # keep the boxes still running and the attributes one of them can remove
-        rows, cols = active.any(axis=1), active.any(axis=0)
-        if not rows.all():
-            run, out, violations, active, match = (
-                run[rows], out[rows], violations[rows], active[rows], match[rows])
-        if not cols.all():
-            ids, out, active = ids[cols], out[:, cols], active[:, cols]
-        if not run.size:
-            break
         forced = active.sum(axis=1) > max_attrs
-        cov_now, pre_now, _ = measure(violations == 0, match)
-        cov, pre, nonempty = measure(violations[:, None] == out, match[:, None])
+        cov_now, pre_now = measure(violations == 0, match)
+        cov, pre = measure(violations[:, None] == out, match[:, None])
         loss = pre_now[:, None] - pre
-        keeps = active & nonempty & (pre >= threshold)
+        keeps = active & (pre >= threshold)  # P > 0, so an empty box never keeps
         # no forced removal preserves precision: lose the least of it
         least = (forced & ~keeps.any(axis=1))[:, None]
         # otherwise the largest coverage gain, kept to gains once under the cap
         pool = np.where(least, active, keeps & (forced[:, None] | (cov > cov_now[:, None])))
+        going = np.flatnonzero(pool.any(axis=1))
+        if not going.size:
+            break
         ranked = pool
         for key in (np.where(least, loss, -cov), np.where(least, -cov, loss)):
             ranked = ranked & (key == np.where(ranked, key, np.inf).min(axis=1, keepdims=True))
-        going = pool.any(axis=1)
-        active[~going] = False  # nothing left to remove: the box stops
-        going = np.flatnonzero(going)
         pick = ranked[going].argmax(axis=1)  # the lowest index among the ties
 
         violations[going] -= out[going, pick]
         active[going, pick] = False
-        removed[run[going], ids[pick]] = True
-        for i, attr, c in zip(run[going].tolist(), ids[pick].tolist(),
-                              cov[going, pick].tolist()):
+        for i, attr, c in zip(going.tolist(), pick.tolist(), cov[going, pick].tolist()):
             orders[i].append(names[attr])
             paths[i].append(c)
 
-    wide = removed[:, space.attr_of]
+    wide = (constrained & ~active)[:, space.attr_of]
     return np.where(wide, 0.0, L), np.where(wide, 1.0, U), orders, paths
 
 
@@ -201,8 +189,8 @@ def _finish(
     labels = np.asarray(labels)
     boxes = [snap_discrete(box, space) for box, _ in runs]
     # a box's work arrays in the elimination: its (attrs, N) outside mask, a
-    # step's candidate mask and a copy made when boxes drop out, all bool,
-    # and a few per-row arrays
+    # step's candidate mask and its matching rows, all bool, and a few
+    # per-row arrays
     size = max(1, BLOCK_BYTES // (len(X) * (3 * len(space.attributes) + 16)))
     columns = np.ascontiguousarray(X.T)  # the in-box test is 3-10x slower on a view
     eliminated = []

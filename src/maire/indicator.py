@@ -123,6 +123,12 @@ def in_box_counts(inside: np.ndarray, match: np.ndarray) -> tuple[np.ndarray, np
     return np.add.reduce(inside, axis=-1), np.add.reduce(inside & (match > 0.5), axis=-1)
 
 
+def precision(n_in: np.ndarray, n_match: np.ndarray, empty: float = np.nan) -> np.ndarray:
+    """Exact precision: matching in-box rows over in-box rows, ``empty``
+    where the box holds no row (undefined by default)."""
+    return np.where(n_in > 0, n_match / np.maximum(n_in, 1), empty)
+
+
 def inside_mask(b: BoxBounds, points: np.ndarray) -> np.ndarray:
     """Exact membership mask of (N, D) points: l_j <= x_j <= u_j on every axis."""
     return ~outside(b.l[None], b.u[None], np.asarray(points, dtype=np.float64).T)[0].any(axis=0)
@@ -349,10 +355,8 @@ def pre_exact_or_none(b: BoxBounds, points: np.ndarray, labels: np.ndarray,
                       query_label: int) -> float | None:
     """Fraction of in-box points whose label equals ``query_label``; None
     for an empty box, where precision is undefined."""
-    n_in, n_match = in_box_counts(inside_mask(b, points), np.asarray(labels) == query_label)
-    if n_in == 0:
-        return None
-    return float(n_match / n_in)
+    pre = precision(*in_box_counts(inside_mask(b, points), np.asarray(labels) == query_label))
+    return None if np.isnan(pre) else float(pre)
 
 
 def cov_hat(b: BoxBounds, points: np.ndarray, k: ApproxConstants = ApproxConstants()) -> float:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indicator import ApproxConstants, BoxBounds, BoxPass, BoxStats, in_box_counts, outside
+from .indicator import (ApproxConstants, BoxBounds, BoxPass, BoxStats, in_box_counts, outside,
+                        precision)
 
 log = logging.getLogger(__name__)
 
@@ -96,16 +97,10 @@ BLOCK_BYTES = 2 << 20
 STRETCH = 32
 
 
-def _precision(n_match: np.ndarray, n_in: np.ndarray) -> np.ndarray:
-    """Exact precision, NaN where the box is empty."""
-    return n_match / np.where(n_in > 0, n_in, np.nan)
-
-
 def _gate(n_match: np.ndarray, n_in: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
     """The precision gate: 0, 1 or 2 as exact precision is above, at or below
-    P. An empty box has no matches, so counting it as one row gives it
-    precision 0 and forces the precision term on."""
-    return 1.0 + np.sign(cfg.precision_threshold - n_match / np.maximum(n_in, 1))
+    P. An empty box counts as precision 0, which forces the precision term on."""
+    return 1.0 + np.sign(cfg.precision_threshold - precision(n_in, n_match, empty=0.0))
 
 
 def _containment(s: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +137,7 @@ def _terms(h_sum, match_sum, n_in, n_match, violation, cfg: OptimizerConfig, n: 
     cov_hat = h_sum / n
     pre_hat = match_sum / h_sum
     cov = n_in / n
-    pre = _precision(n_match, n_in)
+    pre = precision(n_in, n_match)
     objective = cov_hat + cfg.lambda1 * pre_hat * _gate(n_match, n_in, cfg) - cfg.lambda2 * violation
     return objective, cov_hat, pre_hat, cov, pre, violation
 
@@ -284,7 +279,7 @@ def _ascend(
                     for t, box in zip(S[moved], np.nonzero(moved)[1])]).T
                 cov, pre = cov.copy(), pre.copy()
                 cov[moved] = n_in / n
-                pre[moved] = _precision(n_match, n_in)
+                pre[moved] = precision(n_in, n_match)
         key = cov + 2.0 * (pre >= cfg.precision_threshold)
         row = np.argmax(key, axis=0)  # the first row holding each box's top key
         boxes = np.arange(a)

@@ -510,17 +510,23 @@ def snap_discrete(bounds: BoxBounds, space: EncodedSpace) -> BoxBounds:
     Lower bounds move up to the smallest admitted position >= l and upper
     bounds move down to the largest position <= u. With inclusive exact
     membership the set of admitted positions, and therefore coverage and
-    precision on any dataset, is unchanged. Axes admitting no position are
-    left as-is. Continuous axes are untouched.
+    precision on any dataset, is unchanged. Axes admitting every position
+    widen to [0, 1] and axes admitting none are left as-is, so
+    ``nontrivial_attributes`` counts only attributes that decode to a
+    clause. Continuous axes are untouched.
     """
     cols, P = space._discrete_positions
     l = bounds.l.copy()
     u = bounds.u.copy()
-    at_or_above = np.where(P >= l[cols, None], P, np.inf).min(axis=1, initial=np.inf)
-    at_or_below = np.where(P <= u[cols, None], P, -np.inf).max(axis=1, initial=-np.inf)
+    above, below = P >= l[cols, None], P <= u[cols, None]
+    at_or_above = np.where(above, P, np.inf).min(axis=1, initial=np.inf)
+    at_or_below = np.where(below, P, -np.inf).max(axis=1, initial=-np.inf)
     snaps = at_or_above <= at_or_below  # else admits nothing; snapping cannot help
     l[cols[snaps]] = at_or_above[snaps]
     u[cols[snaps]] = at_or_below[snaps]
+    every = (above & below | np.isnan(P)).all(axis=1)
+    l[cols[every]] = 0.0
+    u[cols[every]] = 1.0
     return BoxBounds(l, u)
 
 

@@ -177,6 +177,12 @@ class TestExternalCommand:
         with pytest.raises(ValueError, match="timeout_s must be a finite number above 0"):
             ExternalCommandProvider(f"{sys.executable} -c 'pass'", timeout_s=timeout_s)
 
+    @pytest.mark.parametrize("command, problem", [(" ", "names no program"),
+                                                  ("python3 'x", "No closing quotation")])
+    def test_command_must_name_a_program(self, command, problem):
+        with pytest.raises(ValueError, match=problem):
+            ExternalCommandProvider(command)
+
     def test_boolean_label_reported(self):
         cmd = f"{sys.executable} -c \"[print('[0, true]', flush=True) for _ in iter(input, None)]\""
         with ExternalCommandProvider(cmd) as provider:

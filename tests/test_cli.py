@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from maire.cli import build_parser, main
+from maire.synthetic import SHAPES
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -238,6 +239,37 @@ class TestExplainCommand:
         assert setting in capsys.readouterr().err
         assert not marker.exists()
         assert not out.exists()
+
+    @pytest.mark.parametrize("oracle", sorted(SHAPES))
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_oracle_needs_a_table_of_its_width(self, tmp_path, capsys, oracle, width):
+        names = [f"x{j}" for j in range(width)]
+        rows = np.random.default_rng(width).random((40, width))
+        data = tmp_path / "t.csv"
+        data.write_text("\n".join([",".join(names)] + [",".join(f"{v:.6f}" for v in r)
+                                                       for r in rows]) + "\n")
+        schema = tmp_path / "s.json"
+        schema.write_text(json.dumps({"attributes": [
+            {"name": n, "kind": "continuous", "range": [0.0, 1.0]} for n in names]}))
+        code = run("explain", "--data", str(data), "--schema", str(schema), "--oracle", oracle,
+                   "--query-row", "0", "--iters", "5", "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert (f"--oracle {oracle} reads 2 encoded columns, but the table encodes to {width}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, problem", [(" ", "names no program"),
+                                                  ("python3 'x", "No closing quotation")])
+    def test_predictor_cmd_must_name_a_program(self, tmp_path, tabular, capsys, command,
+                                               problem):
+        _, schema, _, plain = tabular
+        code = run("explain", "--data", plain, "--schema", schema, "--predictor-cmd", command,
+                   "--query-row", "0", "--iters", "5", "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "argument --predictor-cmd: " in err and problem in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_exactly_one_label_source_required(self, tmp_path, tabular, capsys):
         data, schema, row, plain = tabular

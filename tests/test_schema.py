@@ -454,6 +454,15 @@ class TestSnapDiscrete:
         assert snapped.l[4] == 1.0                               # one-hot pinned upward
         assert snapped.u[3] == 0.0                               # one-hot excluded downward
 
+    @pytest.mark.parametrize("lo, hi", [(0.1, 0.9), (1 / 6, 5 / 6)], ids=["between", "on"])
+    def test_ordered_axis_admitting_every_level_is_widened(self, lo, hi):
+        space = self.make_space(np.random.default_rng(0))
+        l = np.array([0.3, lo, 0.0, 0.0, 0.0])
+        u = np.array([0.9, hi, 1.0, 1.0, 1.0])
+        snapped = snap_discrete(BoxBounds(l, u), space)
+        assert (snapped.l[1], snapped.u[1]) == (0.0, 1.0)
+        assert nontrivial_attributes(snapped.l, snapped.u, space) == [0]
+
     def test_membership_identical_before_and_after(self):
         rng = np.random.default_rng(1)
         for trial in range(50):
@@ -612,16 +621,28 @@ class TestWrittenRules:
         space = encode(table, schema)
         return schema, table, space, tables.label_encoded(space.matrix)
 
-    def test_explanations_of_the_bench_population(self, population):
-        schema, table, space, labels = population
+    @pytest.fixture(scope="class")
+    def explanations(self, population):
+        """Explanations of 24 rows of the population at K = 2 and K = 4."""
+        _, _, space, labels = population
         rows = np.random.default_rng(0).choice(len(labels), 24, replace=False)
-        for max_attrs in (2, 4):
-            expls = explain_many(space.matrix[rows], space, labels, labels[rows].tolist(),
-                                 OptimizerConfig(max_iters=300), max_attrs=max_attrs)
-            for expl in expls:
-                np.testing.assert_array_equal(
-                    written_rows(expl.rule_text(), schema, table.columns),
-                    inside_mask(expl.bounds, space.matrix), err_msg=expl.rule_text())
+        return [expl for max_attrs in (2, 4)
+                for expl in explain_many(space.matrix[rows], space, labels, labels[rows].tolist(),
+                                         OptimizerConfig(max_iters=300), max_attrs=max_attrs)]
+
+    def test_explanations_of_the_bench_population(self, population, explanations):
+        schema, table, space, _ = population
+        for expl in explanations:
+            np.testing.assert_array_equal(
+                written_rows(expl.rule_text(), schema, table.columns),
+                inside_mask(expl.bounds, space.matrix), err_msg=expl.rule_text())
+
+    def test_attributes_counted_against_the_cap_are_the_clauses_written(self, population,
+                                                                         explanations):
+        space = population[2]
+        for expl in explanations:
+            assert len(nontrivial_attributes(expl.bounds.l, expl.bounds.u, space)) == \
+                len(expl.clauses), expl.rule_text()
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), fitted=st.booleans())
