@@ -113,7 +113,19 @@ class SyntheticShape:
             raise ValueError("circle needs a positive radius")
 
     def label(self, points: np.ndarray) -> np.ndarray:
+        """0/1 labels of (N, D) points; ValueError when D is not the width
+        the shape reads (for a strip, when column ``axis`` does not exist)."""
         X = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        width = X.shape[1]
+        if self.kind == "discrete_strip":
+            if not -width <= self.axis < width:
+                raise ValueError(f"discrete_strip shape reads column {self.axis}, "
+                                 f"got points of width {width}")
+        elif self.kind in ("rectangle", "circle", "union_of_rectangles"):
+            dim = len(self.l if self.kind == "rectangle" else
+                      self.center if self.kind == "circle" else self.rectangles[0][0])
+            if width != dim:
+                raise ValueError(f"{self.kind} shape reads width {dim}, got points of width {width}")
         if self.kind == "rectangle":
             inside = ((X >= np.asarray(self.l)) & (X <= np.asarray(self.u))).all(axis=1)
         elif self.kind == "circle":

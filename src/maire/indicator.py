@@ -211,9 +211,9 @@ class BoxStats:
         if n == 0:
             raise ValueError("points must be nonempty")
         self.k, self.n, self.d = k, n, d
-        self.X = X  # the caller's table when it is float64; recounts read it, not a copy
-
-        columns = np.ascontiguousarray(X.T)
+        # the table as (D, N) columns, which recounts read: a view of a
+        # column-major table, such as an encoded one
+        self.columns = columns = np.ascontiguousarray(X.T)
         found = [np.unique(col) for col in columns]
         self.dense = np.asarray([j for j, v in enumerate(found) if v.size > LEVEL_LIMIT],
                                 dtype=np.intp)

@@ -275,7 +275,7 @@ def _ascend(
             moved = violation > 0.0
             if moved.any():
                 n_in, n_match = np.array([in_box_counts(
-                    ~outside(t[None, :d], -t[None, d:], stats.X.T)[0].any(axis=0), match[box])
+                    ~outside(t[None, :d], -t[None, d:], stats.columns)[0].any(axis=0), match[box])
                     for t, box in zip(S[moved], np.nonzero(moved)[1])]).T
                 cov, pre = cov.copy(), pre.copy()
                 cov[moved] = n_in / n

@@ -13,6 +13,7 @@ import functools
 import json
 import logging
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -159,14 +160,11 @@ def load_table(path: str, schema: list[AttributeSchema], label_column: str | Non
             columns[j].append(cell)
         if label_column:
             cell = row[col_of[label_column]]
-            try:
-                value = float(cell)
-            except ValueError:
-                value = float("nan")
-            if not (value.is_integer() and abs(value) < 2.0 ** 63):
+            value = _label(cell)
+            if value is None:
                 raise LoadError(
                     f"table {path}: row {r} column {label_column!r}: label {cell!r} is not an integer")
-            labels.append(int(value))
+            labels.append(value)
 
     typed = []
     for attr, col in zip(schema, columns):
@@ -180,6 +178,25 @@ def load_table(path: str, schema: list[AttributeSchema], label_column: str | Non
                 col = np.asarray(attr.levels)[codes]  # each value snapped onto its level
         typed.append(col)
     return RawTable(list(schema), typed, np.asarray(labels, dtype=np.int64) if label_column else None)
+
+
+def _label(cell: str) -> int | None:
+    """A label cell's integer, read exactly. A float-form cell (``2.0``,
+    ``1e3``) counts only when its decimal value is an integer of magnitude at
+    most 2**53, so no cell is read as a float it merely rounds to. None for
+    any other cell, or one outside the 64-bit range."""
+    try:
+        value = int(cell)
+    except ValueError:
+        try:
+            number = Decimal(cell)
+        except InvalidOperation:
+            return None
+        if not (number.is_finite() and abs(number) <= 2 ** 53
+                and number == number.to_integral_value()):
+            return None
+        value = int(number)
+    return value if -2 ** 63 <= value < 2 ** 63 else None
 
 
 def _value_error(attr: AttributeSchema, row: int, query: bool, problem: str) -> SchemaError:
@@ -285,6 +302,10 @@ class EncodedSpace:
     attribute in raw units, and ``raw_values`` its raw value per row (the
     table's own array where it held floats), which ``decode_bounds`` writes
     bounds to separate.
+
+    ``encode`` stores ``matrix`` column-major (Fortran order), because the
+    exact measures, the elimination and the oracles scan the table one
+    column at a time. The layout affects speed only, never results.
     """
 
     matrix: np.ndarray
@@ -345,7 +366,10 @@ def encode(table: RawTable, schema: list[AttributeSchema] | None = None) -> Enco
         if scale is not None:
             normalizers[i] = scale
         attr_of += [i] * block.shape[1]
-    matrix = np.hstack(blocks) if blocks else np.zeros((table.n_rows, 0))
+    # the one copy that joins the blocks writes them column-major
+    matrix = np.empty((table.n_rows, len(attr_of)), order="F")
+    if blocks:
+        np.concatenate(blocks, axis=1, out=matrix)
     return EncodedSpace(matrix, np.asarray(attr_of, dtype=np.intp), attrs, normalizers,
                         clamp_warnings=clamps, raw_values=raw_values)
 

@@ -53,6 +53,28 @@ class TestSyntheticOracles:
         pts = np.array([[1 / 6, 0.4], [2 / 6, 0.4], [3 / 6, 0.9], [5 / 6, 0.1]])
         np.testing.assert_array_equal(predict_batch(SyntheticOracle(shape), pts), [0, 1, 1, 0])
 
+    @pytest.mark.parametrize("shape, width", [
+        (RECT, 2), (CIRCLE, 2),
+        (SyntheticShape(kind="union_of_rectangles", rectangles=(((0.0, 0.0), (0.2, 0.2)),)), 2),
+    ])
+    @pytest.mark.parametrize("got", [1, 3])
+    def test_points_of_another_width_rejected(self, shape, width, got):
+        with pytest.raises(ValueError, match=rf"{shape.kind} shape reads width {width}, "
+                                             rf"got points of width {got}"):
+            shape.label(np.full((4, got), 0.5))
+
+    @pytest.mark.parametrize("axis, got, ok", [(0, 1, True), (0, 3, True), (1, 1, False),
+                                               (2, 3, True), (3, 3, False)])
+    def test_strip_reads_an_existing_column(self, axis, got, ok):
+        shape = SyntheticShape(kind="discrete_strip", axis=axis, positive_levels=(2 / 6,))
+        points = np.full((4, got), 2 / 6)
+        if ok:
+            np.testing.assert_array_equal(shape.label(points), [1, 1, 1, 1])
+        else:
+            with pytest.raises(ValueError, match=rf"discrete_strip shape reads column {axis}, "
+                                                 rf"got points of width {got}"):
+                shape.label(points)
+
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             SyntheticShape(kind="circle", center=(0.5, 0.5), radius=0.0)

@@ -1,5 +1,6 @@
 """Local explanation pipeline: optimize, snap, eliminate, render."""
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -360,6 +361,45 @@ class TestExplainMany:
         space, labels = mixed_space(np.random.default_rng(12), 40)
         empty = np.zeros((0, space.matrix.shape[1]))
         assert explain_many(empty, space, labels, [], OptimizerConfig(max_iters=10)) == []
+
+
+def assert_identical(a: Explanation, b: Explanation):
+    """Two explanations agree bit for bit."""
+    assert a.bounds.l.tobytes() == b.bounds.l.tobytes()
+    assert a.bounds.u.tobytes() == b.bounds.u.tobytes()
+    assert (a.coverage, a.precision, a.feasible) == (b.coverage, b.precision, b.feasible)
+    assert a.clauses == b.clauses
+    assert a.elimination_order == b.elimination_order
+    assert a.trace.best_iteration == b.trace.best_iteration
+    assert a.trace.values.tobytes() == b.trace.values.tobytes()
+
+
+class TestColumnMajorTable:
+    """``encode`` stores the table column-major; the layout changes no result."""
+
+    def test_encoded_matrices_are_column_major(self):
+        space, _ = mixed_space(np.random.default_rng(13), 50)
+        assert space.matrix.shape == (50, 6) and space.matrix.flags.f_contiguous
+        for name in ("rect", "discrete-strip"):
+            assert synthetic_dataset(name, 40, 0)[1].matrix.flags.f_contiguous
+
+    def test_kernel_reads_the_encoded_table_in_place(self):
+        space, _ = mixed_space(np.random.default_rng(14), 50)
+        assert np.shares_memory(BoxStats(space.matrix).columns, space.matrix)
+
+    @pytest.mark.parametrize("snap", [True, False])
+    def test_row_major_copy_explains_identically(self, snap):
+        space, labels = mixed_space(np.random.default_rng(15), 150)
+        row_major = dataclasses.replace(space, matrix=np.ascontiguousarray(space.matrix))
+        assert row_major.matrix.flags.c_contiguous and not row_major.matrix.flags.f_contiguous
+        rows = list(range(0, 150, 10))
+        cfg = OptimizerConfig(precision_threshold=0.9, max_iters=100, containment_snap=snap)
+        runs = [[explain_encoded(s.matrix[r], s, labels, labels[r], cfg, max_attrs=2)
+                 for r in rows] + explain_many(s.matrix[rows], s, labels, labels[rows], cfg,
+                                               max_attrs=2)
+                for s in (space, row_major)]
+        for a, b in zip(*runs):
+            assert_identical(a, b)
 
 
 class TestRender:

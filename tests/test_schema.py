@@ -78,7 +78,14 @@ class TestLoadTable:
         path = write(tmp_path, "t.csv", "Age,Sex,y\n17,M,-1\n43,F,1.0\n")
         assert load_table(path, people_schema, label_column="y").labels.tolist() == [-1, 1]
 
-    @pytest.mark.parametrize("cell", ["1.5", "-0.5", "1e300", "nan", "one"])
+    @pytest.mark.parametrize("cell, label", [("9007199254740993", 2 ** 53 + 1), ("2.0", 2),
+                                             ("1e3", 1000), ("-9007199254740992.0", -2 ** 53)])
+    def test_labels_read_exactly(self, tmp_path, people_schema, cell, label):
+        path = write(tmp_path, "t.csv", f"Age,Sex,y\n17,M,0\n43,F,{cell}\n")
+        assert load_table(path, people_schema, label_column="y").labels.tolist() == [0, label]
+
+    @pytest.mark.parametrize("cell", ["1.5", "-0.5", "1e300", "nan", "one", "9007199254740993.0",
+                                      "4503599627370496.5", "9223372036854775808"])
     def test_non_integer_label_names_row_and_column(self, tmp_path, people_schema, cell):
         path = write(tmp_path, "t.csv", f"Age,Sex,y\n17,M,0\n43,F,{cell}\n")
         with pytest.raises(LoadError, match=rf"row 1 column 'y'.*{cell!r} is not an integer"):
