@@ -67,15 +67,12 @@ class StoredColumnProvider(PredictionProvider):
         self._labels = labels
         self._index = {}
         for i, row in enumerate(X):
-            self._index.setdefault(row.tobytes(), i)
-        if len(self._index) < len(X):
-            # repeated rows must agree with the label of their first occurrence
-            for i, row in enumerate(X):
-                first = self._index[row.tobytes()]
-                if labels[first] != labels[i]:
-                    raise ProviderError(
-                        f"rows {first} and {i} encode to the same point but carry labels "
-                        f"{labels[first]} and {labels[i]}", point_index=i)
+            first = self._index.setdefault(row.tobytes(), i)
+            # a repeated row must agree with the label of its first occurrence
+            if first != i and labels[first] != labels[i]:
+                raise ProviderError(
+                    f"rows {first} and {i} encode to the same point but carry labels "
+                    f"{labels[first]} and {labels[i]}", point_index=i)
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(points, dtype=np.float64)

@@ -37,29 +37,34 @@ class GlobalExplanation:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
+    def predict(self, points: np.ndarray) -> list[int | None]:
+        """The vote at each of the (N, D) points; None = abstain (no member applies)."""
+        X = np.asarray(points, dtype=np.float64)
+        masks = np.array([inside_mask(m.bounds, X) for m in self.members], dtype=bool)
+        covered, pred = np.zeros(len(X), dtype=bool), None  # no members: abstain everywhere
+        for covered, pred in _votes(masks.reshape(len(self.members), len(X)),
+                                    [m.query_label for m in self.members]):
+            pass
+        return [int(pred[i]) if c else None for i, c in enumerate(covered)]
 
-def _curves(
-    member_masks: np.ndarray,
-    member_labels: list[int],
-    eval_labels: np.ndarray,
-) -> list[tuple[float, float | None]]:
-    """(coverage, precision) after each member joins the vote, in order.
 
-    ``member_masks`` is the (B, N) membership of the members. A point is
-    covered once some member votes on it; precision is over the covered
-    points only (None while there are none).
-    """
-    eval_labels = np.asarray(eval_labels)
+def _votes(member_masks: np.ndarray, member_labels: list[int]):
+    """The running vote of (B, N) member masks: after each member joins,
+    yields which points some member covers and the label voted at each
+    point, the majority label with ties to the lowest."""
     distinct, row_of = np.unique(member_labels, return_inverse=True)
     votes = np.zeros((len(distinct), member_masks.shape[1]), dtype=np.int64)
-    out = []
     for mask, row in zip(member_masks, row_of):
         votes[row] += mask
-        covered = votes.any(axis=0)
-        pred = distinct[votes.argmax(axis=0)]  # argmax ties -> lowest label
-        precision = float((pred[covered] == eval_labels[covered]).mean()) if covered.any() else None
-        out.append((float(covered.mean()), precision))
-    return out
+        yield votes.any(axis=0), distinct[votes.argmax(axis=0)]  # argmax ties -> lowest label
+
+
+def _curves(member_masks, member_labels, eval_labels) -> list[tuple[float, float | None]]:
+    """(coverage, precision) after each member joins the vote, in order;
+    precision is over the covered points only (None while there are none)."""
+    return [(float(covered.mean()),
+             float((pred[covered] == eval_labels[covered]).mean()) if covered.any() else None)
+            for covered, pred in _votes(member_masks, member_labels)]
 
 
 def _select(candidates, eval_points, eval_labels, budget, seed=None) -> GlobalExplanation:
@@ -71,6 +76,10 @@ def _select(candidates, eval_points, eval_labels, budget, seed=None) -> GlobalEx
         raise ValueError("budget must be >= 1")
     X = np.asarray(eval_points, dtype=np.float64)
     masks = np.stack([inside_mask(c.bounds, X) for c in candidates])  # (C, N)
+    y = np.asarray(eval_labels)
+    if y.shape != masks.shape[1:]:
+        raise ValueError(f"eval_labels of shape {y.shape} do not fit {len(X)} eval points; "
+                         f"expected ({len(X)},)")
     if seed is None:
         covered = np.zeros(masks.shape[1], dtype=bool)
         order: list[int] = []
@@ -87,7 +96,7 @@ def _select(candidates, eval_points, eval_labels, budget, seed=None) -> GlobalEx
         order = [int(i) for i in rng.choice(len(candidates), size=min(budget, len(candidates)),
                                             replace=False)]
     members = [candidates[i] for i in order]
-    curves = _curves(masks[order], [m.query_label for m in members], eval_labels)
+    curves = _curves(masks[order], [m.query_label for m in members], y)
     return GlobalExplanation(members, order, curves)
 
 
@@ -117,12 +126,5 @@ def rp_select(
 
 
 def global_predict(g: GlobalExplanation, x: np.ndarray) -> int | None:
-    """Majority label among member boxes containing ``x``; None = abstain.
-
-    Ties break toward the smallest label value.
-    """
-    voters = [m.query_label for m in g.members if m.bounds.contains(x)]
-    if not voters:
-        return None
-    labels, counts = np.unique(voters, return_counts=True)
-    return int(labels[counts.argmax()])  # argmax ties -> lowest label
+    """The vote of ``g`` at one point ``x``; None = abstain."""
+    return g.predict(np.asarray(x)[None])[0]

@@ -131,7 +131,11 @@ def precision(n_in: np.ndarray, n_match: np.ndarray, empty: float = np.nan) -> n
 
 def inside_mask(b: BoxBounds, points: np.ndarray) -> np.ndarray:
     """Exact membership mask of (N, D) points: l_j <= x_j <= u_j on every axis."""
-    return ~outside(b.l[None], b.u[None], np.asarray(points, dtype=np.float64).T)[0].any(axis=0)
+    X = np.asarray(points, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != b.dim:
+        raise ValueError(f"points of shape {X.shape} do not fit a box of dim {b.dim}; "
+                         f"expected (N, {b.dim})")
+    return ~outside(b.l[None], b.u[None], X.T)[0].any(axis=0)
 
 
 def _gamma_slope(z: np.ndarray, k: ApproxConstants) -> tuple[np.ndarray, np.ndarray]:

@@ -64,7 +64,7 @@ class OptimizationTrace:
     feasible: bool
     # every ascent runs max_iters iterations, so none stops early. Kept only
     # because bench/tracing.py::_optimized reads it; delete it once the bench
-    # stops reading it (ROADMAP item 1, bench half)
+    # stops reading it (ROADMAP item 10)
     converged = False
 
     def __len__(self) -> int:

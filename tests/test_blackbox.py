@@ -101,10 +101,12 @@ class TestStoredColumn:
             StoredColumnProvider(np.zeros((3, 2)), np.zeros(2, dtype=int))
 
     def test_conflicting_duplicate_rows_rejected(self):
-        X = np.array([[0.1, 0.2], [0.5, 0.5], [0.1, 0.2]])
-        with pytest.raises(ProviderError, match="rows 0 and 2") as info:
-            StoredColumnProvider(X, np.array([0, 1, 1]))
-        assert info.value.point_index == 2
+        X = np.array([[0.1, 0.2], [0.5, 0.5], [0.1, 0.2], [0.1, 0.2]])
+        # the second copy disagrees, or a third after two that agree
+        for labels, second in (([0, 1, 1], 2), ([0, 1, 0, 1], 3)):
+            with pytest.raises(ProviderError, match=f"rows 0 and {second}") as info:
+                StoredColumnProvider(X[:len(labels)], np.array(labels))
+            assert info.value.point_index == second
 
     def test_negative_labels_accepted(self):
         X = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.1]])

@@ -22,19 +22,29 @@ def union_coverage(members, X):
     return covered.mean()
 
 
+def brute_force_vote(boxes, x):
+    """The vote of ``boxes`` = [(l, u, label)] at one point: majority label
+    among the boxes containing it, ties to the lowest; None when none does."""
+    votes = [y for l, u, y in boxes if all(a <= v <= b for a, v, b in zip(l, x, u))]
+    return min(set(votes), key=lambda y: (-votes.count(y), y)) if votes else None
+
+
 def brute_force_curves(boxes, X, labels):
-    """(coverage, precision) per prefix of ``boxes`` = [(l, u, label)], one
-    point and one vote at a time: majority label, ties to the lowest, and
-    precision over the points some box covers."""
+    """(coverage, precision) per prefix of ``boxes``, one point and one vote
+    at a time, with precision over the points some box covers."""
     curves = []
     for end in range(1, len(boxes) + 1):
-        preds = []
-        for x in X:
-            votes = [y for l, u, y in boxes[:end] if all(a <= v <= b for a, v, b in zip(l, x, u))]
-            preds.append(min(set(votes), key=lambda y: (-votes.count(y), y)) if votes else None)
+        preds = [brute_force_vote(boxes[:end], x) for x in X]
         hits = [p == y for p, y in zip(preds, labels) if p is not None]
         curves.append((len(hits) / len(X), sum(hits) / len(hits) if hits else None))
     return curves
+
+
+def predict_one(g, x):
+    """``global_predict`` at ``x``, checked against the batched ``predict``."""
+    label = global_predict(g, x)
+    assert g.predict(np.asarray(x)[None]) == [label]
+    return label
 
 
 @pytest.fixture
@@ -136,13 +146,17 @@ class TestGlobalPredict:
         )
 
     def test_single_applicable_member(self):
-        assert global_predict(self.g, np.array([0.05, 0.05])) == 1
+        assert predict_one(self.g, np.array([0.05, 0.05])) == 1
 
     def test_majority_vote(self):
-        assert global_predict(self.g, np.array([0.4, 0.4])) == 1  # votes 1, 1, 0
+        assert predict_one(self.g, np.array([0.4, 0.4])) == 1  # votes 1, 1, 0
 
     def test_abstains_when_nothing_applies(self):
-        assert global_predict(self.g, np.array([0.99, 0.01])) is None
+        assert predict_one(self.g, np.array([0.99, 0.01])) is None
+
+    def test_batched_prediction(self):
+        X = np.array([[0.05, 0.05], [0.4, 0.4], [0.99, 0.01], [0.85, 0.85]])
+        assert self.g.predict(X) == [1, 1, None, 0]
 
     def test_tie_breaks_toward_smallest_label(self):
         g = GlobalExplanation(
@@ -153,7 +167,7 @@ class TestGlobalPredict:
             member_indices=[0, 1],
             curves=[],
         )
-        assert global_predict(g, np.array([0.5, 0.5])) == 1
+        assert predict_one(g, np.array([0.5, 0.5])) == 1
 
     def test_negative_labels_vote(self):
         g = GlobalExplanation(
@@ -164,8 +178,8 @@ class TestGlobalPredict:
             member_indices=[0, 1],
             curves=[],
         )
-        assert global_predict(g, np.array([0.9, 0.9])) == -1
-        assert global_predict(g, np.array([0.2, 0.2])) == -1  # a 1-1 tie
+        assert predict_one(g, np.array([0.9, 0.9])) == -1
+        assert predict_one(g, np.array([0.2, 0.2])) == -1  # a 1-1 tie
 
 
 class TestCurves:
@@ -204,12 +218,39 @@ class TestCurves:
         assert [cov for cov, _ in g.curves] == pytest.approx([cov for cov, _ in expected])
         assert [pre for _, pre in g.curves] == [pytest.approx(pre) if pre is not None else None
                                                 for _, pre in expected]
+        predicted = g.predict(X)
+        assert predicted == [brute_force_vote(boxes, x) for x in X]
+        assert [global_predict(g, x) for x in X] == predicted
 
     def test_no_coverage_gives_none_precision(self):
         X = np.array([[0.9]])
         cands = [box_explanation([0.0], [0.1], label=1)]
         g = msd_select(cands, X, np.array([1]), budget=1)
         assert g.member_indices == []  # zero marginal gain: nothing selected
+        assert g.curves == []
+        assert g.predict(np.array([[0.9], [0.05]])) == [None, None]
+
+    def test_points_of_the_wrong_width_rejected(self):
+        """A 2-axis box on 1-column points once broadcast the column over both
+        axes and wrote the curves [(0.75, 0.667)]."""
+        X = np.array([[0.1], [0.3], [0.5], [0.9]])
+        cands = [box_explanation([0.0, 0.0], [0.6, 0.6], label=1)]
+        with pytest.raises(ValueError, match=r"\(4, 1\).*\(N, 2\)"):
+            msd_select(cands, X, np.array([1, 1, 0, 0]), budget=1)
+
+    @pytest.mark.parametrize("labels", [np.array([[1], [1], [0], [0]]), np.array([1, 1, 0])])
+    def test_labels_of_the_wrong_shape_rejected(self, labels):
+        """An (N, 1) label column once broadcast inside the vote and halved the
+        precision of two disjoint correct members; a short one ended in an
+        IndexError."""
+        X = np.array([[0.1], [0.2], [0.6], [0.9]])
+        cands = [box_explanation([0.0], [0.3], label=1), box_explanation([0.5], [1.0], label=0)]
+        assert msd_select(cands, X, np.array([1, 1, 0, 0]), budget=2).curves == [(0.5, 1.0),
+                                                                                   (1.0, 1.0)]
+        for select in (lambda: msd_select(cands, X, labels, budget=2),
+                       lambda: rp_select(cands, X, labels, budget=2, seed=0)):
+            with pytest.raises(ValueError, match=r"eval_labels of shape .*expected \(4,\)"):
+                select()
 
     def test_serialization_round_trip(self, line_points=None):
         X = np.linspace(0, 1, 50)[:, None]

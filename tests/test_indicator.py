@@ -232,6 +232,17 @@ class TestExactMeasures:
         assert cov_exact(b, X) == 0.0
         assert pre_exact_or_none(b, X, np.array([0, 1]), 1) is None
 
+    def test_points_of_the_wrong_width_rejected(self):
+        """1-column points once broadcast over every axis of the box."""
+        b = BoxBounds([0.2] * 3, [0.8] * 3)
+        with pytest.raises(ValueError, match=r"\(1, 1\).*\(N, 3\)"):
+            b.contains(np.array([0.5]))
+        with pytest.raises(ValueError, match=r"\(4, 1\).*\(N, 3\)"):
+            cov_exact(b, np.full((4, 1), 0.5))
+        with pytest.raises(ValueError, match=r"\(3,\).*\(N, 3\)"):
+            cov_exact(b, np.full(3, 0.5))
+        assert b.contains(np.array([0.5, 0.5, 0.5]))
+
     def test_matches_brute_force_exactly(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
