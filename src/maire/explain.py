@@ -44,7 +44,6 @@ class Explanation:
     precision: float | None
     query_label: int
     feasible: bool
-    query_encoded: np.ndarray
     query_raw: list | None = None
     elimination_order: list[str] = field(default_factory=list)
     trace: OptimizationTrace | None = None
@@ -174,7 +173,6 @@ def _attr_cap(max_attrs: int | None, space: EncodedSpace) -> int:
 
 def _finish(
     runs: list[tuple[BoxBounds, OptimizationTrace]],
-    Q: np.ndarray,
     space: EncodedSpace,
     labels: np.ndarray,
     query_labels: list[int],
@@ -202,8 +200,7 @@ def _finish(
                                           match, threshold, cap)
         eliminated += zip(L, U, orders)
     expls = []
-    for (l, u, order), (_, trace), q, label, raw in zip(eliminated, runs, Q, query_labels,
-                                                       query_raws):
+    for (l, u, order), (_, trace), label, raw in zip(eliminated, runs, query_labels, query_raws):
         bounds = BoxBounds(l, u)
         pre = pre_exact_or_none(bounds, X, labels, label)
         expls.append(Explanation(
@@ -213,7 +210,6 @@ def _finish(
             precision=pre,
             query_label=int(label),
             feasible=pre is not None and pre >= threshold,
-            query_encoded=q,
             query_raw=raw,
             elimination_order=order,
             trace=trace,
@@ -235,8 +231,8 @@ def explain_encoded(
     cap = _attr_cap(max_attrs, space)
     q = np.asarray(query_encoded, dtype=np.float64)
     run = optimize(initial_bounds(q), q, space.matrix, labels, query_label, cfg, k)
-    return _finish([run], q[None], space, labels, [int(query_label)], cfg.precision_threshold,
-                   cap, [query_raw])[0]
+    return _finish([run], space, labels, [int(query_label)], cfg.precision_threshold, cap,
+                   [query_raw])[0]
 
 
 def explain_many(
@@ -256,7 +252,7 @@ def explain_many(
     query_labels = [int(v) for v in query_labels]
     runs = optimize_many([initial_bounds(q) for q in Q], Q, BoxStats(space.matrix, k), labels,
                          query_labels, cfg)
-    return _finish(runs, Q, space, labels, query_labels, cfg.precision_threshold, cap,
+    return _finish(runs, space, labels, query_labels, cfg.precision_threshold, cap,
                    [None] * len(Q))
 
 

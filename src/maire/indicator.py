@@ -171,6 +171,7 @@ LEVEL_LIMIT = 16
 class BoxPass:
     """The forward pass of ``BoxStats`` over A boxes, one entry per box."""
 
+    h: np.ndarray          # (A, N) each row's soft membership
     h_sum: np.ndarray      # (A,) sums of soft memberships, floored at 1e-300
     match_sum: np.ndarray  # (A,) soft memberships summed over label-matching rows
     slope: np.ndarray      # (A, N) each row's dh/dt / 2D
@@ -196,12 +197,13 @@ class BoxStats:
 
     Per comparison gamma(z) = 1/2 + (c1 tanh(c2 z/2) + c3 sgn z)/2, so the
     row sum of the 2D comparisons is D + (1/2) sum(c1 tanh + c3 sgn), and
-    the slope is (c1 c2/4)(1 - tanh^2). ``forward`` gives the soft sums,
-    the exact counts and each row's slope dh/dt / 2D, and keeps the pass's
-    tanh^2. ``backward`` then takes one row of weights w per box and gives
-    sum_rows w * d(row's comparison sum)/ds, with dz/ds = -1 everywhere:
-    for the dense block one product of w with tanh^2. Any gradient that is
-    linear in the rows' dh is one backward pass.
+    the slope is (c1 c2/4)(1 - tanh^2). ``forward`` gives each row's soft
+    membership h and slope dh/dt / 2D, the soft sums and the exact counts,
+    and keeps the pass's tanh^2. ``backward`` then takes one row of weights
+    w per box and gives sum_rows w * d(row's comparison sum)/ds, with
+    dz/ds = -1 everywhere: for the dense block one product of w with
+    tanh^2. Any gradient that is linear in the rows' dh is one backward
+    pass.
 
     A pass takes (A, 2D) signed bounds and, where labels matter, one 0/1
     match row per box, (A, N). Its products are stacked per box, so each
@@ -226,13 +228,13 @@ class BoxStats:
         levels = [found[j] for j in self.level_cols]
         counts = [v.size for v in levels]
         self.level_val = np.concatenate(levels) if levels else np.zeros(0)
-        self.level_col = np.repeat(self.level_cols, counts)
-        self.level_start = np.cumsum([0] + counts[:-1], dtype=np.intp)
+        level_col = np.repeat(self.level_cols, counts)
+        level_start = np.cumsum([0] + counts[:-1], dtype=np.intp)
         # both blocks are stored column-major (one contiguous row per column
         # or level), so per-row reductions and the products stream memory
         self._Xs = np.concatenate([columns[self.dense], -columns[self.dense]])
         self._Vs = np.concatenate([self.level_val, -self.level_val])
-        self.L = (columns[self.level_col] == self.level_val[:, None]).astype(np.float64)
+        self.L = (columns[level_col] == self.level_val[:, None]).astype(np.float64)
 
         w = self.dense.size
         # the dense block's pass buffer, (4w, A, N): tanh of the 2w
@@ -243,21 +245,22 @@ class BoxStats:
         # columns of the signed bounds that each dense comparison, each level
         # comparison and each level column's gradient read
         self._dense_s = np.concatenate([self.dense, d + self.dense])
-        self._level_s = np.concatenate([self.level_col, d + self.level_col])
+        self._level_s = np.concatenate([level_col, d + level_col])
         self._level_cols_s = np.concatenate([self.level_cols, d + self.level_cols])
-        self._level_starts = np.concatenate([self.level_start,
-                                             self.level_val.size + self.level_start])
+        self._level_starts = np.concatenate([level_start, self.level_val.size + level_start])
 
-    def _forward(self, s: np.ndarray):
-        """Soft-AND argument t and the exact in-box mask, (A, N), plus the
-        comparisons' tanh values for the gradient: the dense block's stay in
-        the buffer, the level block's (A x 2 x levels) are returned."""
+    def forward(self, s: np.ndarray, match: np.ndarray) -> BoxPass:
+        """Soft membership h, its sums, each row's slope and the exact counts.
+
+        Per axis j the row contributes gamma(x_j - l_j) (soft x > l) and
+        gamma(u_j - x_j + cl) (soft u >= x); the 2D values are combined by a
+        soft AND, gamma(mean - ch). The comparisons' tanh^2 (dense) and
+        1 - tanh^2 (levels) stay in the instance for ``backward``."""
         k = self.k
         a = s.shape[0]
         w = self.dense.size
         rows = 0.0
         inside = True
-        tz = None
         if w:
             if self._T.shape[1] != a:
                 size = 4 * w * a * self.n
@@ -277,43 +280,23 @@ class BoxStats:
             # one product per box, as for a single box: a single product over
             # all A*N rows would round some rows differently
             rows = self._coef @ T.transpose(1, 0, 2)
+            np.square(Z, out=Z)
         if self.level_val.size:
             z = np.subtract(self._Vs, s[:, self._level_s]).reshape(a, 2, -1)
             G = np.empty_like(z)
             G[:, 1] = (z < 0.0).any(axis=1)
             z[:, 1] += k.cl
             tz = np.tanh((0.5 * k.c2) * z)
+            self._level_slope = 1.0 - tz * tz
             G[:, 0] = (0.5 * k.c1) * tz.sum(axis=1) + (0.5 * k.c3) * np.sign(z).sum(axis=1)
             R = G @ self.L
             rows = rows + R[:, 0]
             inside = inside & (R[:, 1] == 0.0)
-        t = (self.d + rows) / (2.0 * self.d) - k.ch
-        return t, inside, tz
-
-    def membership(self, s: np.ndarray) -> np.ndarray:
-        """Soft membership h of every row in each box of signed bounds ``s``, (A, N).
-
-        Per axis j the row contributes gamma(x_j - l_j) (soft x > l) and
-        gamma(u_j - x_j + cl) (soft u >= x); the 2D values are combined by a
-        soft AND, gamma(mean - ch).
-        """
-        return _gamma_slope(self._forward(s)[0], self.k)[0]
-
-    def forward(self, s: np.ndarray, match: np.ndarray) -> BoxPass:
-        """Soft sums, each row's slope and the exact counts in one pass. The
-        comparisons' tanh^2 (dense) and 1 - tanh^2 (levels) stay in the
-        instance for ``backward``."""
-        t, inside, tz = self._forward(s)
-        h, slope = _gamma_slope(t, self.k)
+        h, slope = _gamma_slope((self.d + rows) / (2.0 * self.d) - k.ch, k)
         slope *= 1.0 / (2.0 * self.d)
-        w = self.dense.size
-        if w:
-            T2 = self._T[:2 * w]
-            np.square(T2, out=T2)
-        if self.level_val.size:
-            self._level_slope = 1.0 - tz * tz
         n_in, n_match = in_box_counts(inside, match)
         return BoxPass(
+            h=h,
             h_sum=np.maximum(h.sum(axis=1), 1e-300),  # h > 0 except at underflow-extreme c2
             # one BLAS dot per row, as for a single box
             match_sum=(h[:, None, :] @ match[:, :, None])[:, 0, 0],
@@ -342,11 +325,6 @@ class BoxStats:
         return grad
 
 
-def membership_h(b: BoxBounds, x: np.ndarray, k: ApproxConstants = ApproxConstants()) -> float:
-    """Soft membership of a single point in the box."""
-    return float(BoxStats(x, k).membership(b.signed()[None])[0, 0])
-
-
 def cov_exact(b: BoxBounds, points: np.ndarray) -> float:
     """Fraction of points inside the box."""
     X = np.asarray(points, dtype=np.float64)
@@ -363,11 +341,6 @@ def pre_exact_or_none(b: BoxBounds, points: np.ndarray, labels: np.ndarray,
     return None if np.isnan(pre) else float(pre)
 
 
-def cov_hat(b: BoxBounds, points: np.ndarray, k: ApproxConstants = ApproxConstants()) -> float:
-    """Approximate coverage: mean soft membership."""
-    return float(BoxStats(points, k).membership(b.signed()[None])[0].mean())
-
-
 def soft_measures(boxes: list[BoxBounds], points: np.ndarray, labels: np.ndarray,
                   query_labels: list[int], k: ApproxConstants = ApproxConstants()) -> np.ndarray:
     """Soft coverage (row 0) and soft precision (row 1) of each box, (2, A).
@@ -381,18 +354,28 @@ def soft_measures(boxes: list[BoxBounds], points: np.ndarray, labels: np.ndarray
     labels = np.asarray(labels)
     out = np.empty((2, len(boxes)))
     for i, (b, query_label) in enumerate(zip(boxes, query_labels)):
-        h = stats.membership(b.signed()[None])[0]
         match = (labels == query_label).astype(np.float64)
-        out[0, i] = h.mean()
-        # h > 0 mathematically; the floor only guards underflow at extreme c2
-        out[1, i] = (h * match).sum() / max(float(h.sum()), 1e-300)
+        p = stats.forward(b.signed()[None], match[None])
+        out[0, i] = p.h[0].mean()
+        out[1, i] = (p.h[0] * match).sum() / p.h_sum[0]
     return out
+
+
+def cov_hat(b: BoxBounds, points: np.ndarray, k: ApproxConstants = ApproxConstants()) -> float:
+    """Approximate coverage: mean soft membership (``soft_measures`` of one box)."""
+    X = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    return float(soft_measures([b], X, np.zeros(len(X)), [0], k)[0, 0])
 
 
 def pre_hat(b: BoxBounds, points: np.ndarray, labels: np.ndarray, query_label: int,
             k: ApproxConstants = ApproxConstants()) -> float:
-    """Approximate precision of one box (see ``soft_measures``)."""
+    """Approximate precision of one box (``soft_measures`` of one box)."""
     return float(soft_measures([b], points, labels, [query_label], k)[1, 0])
+
+
+def membership_h(b: BoxBounds, x: np.ndarray, k: ApproxConstants = ApproxConstants()) -> float:
+    """Soft membership of a single point in the box: its ``cov_hat`` alone."""
+    return cov_hat(b, x, k)
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,11 @@ def load_table(path: str, schema: list[AttributeSchema], label_column: str | Non
     comma separator) against a schema.
 
     Column names must match the schema exactly, plus ``label_column`` when
-    given. Errors name the offending row and column.
+    given, which must not name an attribute. Errors name the offending row
+    and column.
     """
+    if label_column in {a.name for a in schema}:
+        raise LoadError(f"table {path}: label column {label_column!r} is also a declared attribute")
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -324,7 +327,10 @@ class EncodedSpace:
             attr = self.attributes[i]
             if attr.kind != "continuous":
                 cols.append(j)
-                levels.append(_positions(attr) if attr.kind == "ordered_discrete" else (0.0, 1.0))
+                if attr.kind == "ordered_discrete":
+                    levels.append(_positions(attr))
+                else:  # a lone category's column holds only 1
+                    levels.append((0.0, 1.0) if len(attr.categories) > 1 else (1.0,))
         P = np.full((len(cols), max(map(len, levels), default=0)), np.nan)
         for row, v in zip(P, levels):
             row[:len(v)] = v

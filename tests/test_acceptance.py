@@ -326,7 +326,7 @@ def test_09_msd_dominance():
         l, u = np.minimum(a, b), np.maximum(a, b)
         candidates.append(Explanation(
             bounds=BoxBounds(l, u), clauses=[], coverage=0.0, precision=1.0,
-            query_label=int(rng.integers(0, 2)), feasible=True, query_encoded=(l + u) / 2))
+            query_label=int(rng.integers(0, 2)), feasible=True))
     budget = 10
     msd = msd_select(candidates, X, eval_labels, budget)
     msd_curve = [cov for cov, _ in msd.curves]

@@ -279,6 +279,19 @@ class TestExplainCommand:
         assert code == 1
         assert "exactly one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags", [("explain", ["--query-row", "0"]), ("global", [])])
+    def test_label_column_naming_an_attribute_exits_1(self, tmp_path, tabular, capsys,
+                                                      command, flags):
+        data, schema, row, plain = tabular
+        out = tmp_path / "o"
+        code = run(command, "--data", plain, "--schema", schema, "--label-column", "x0",
+                   *flags, "--iters", "5", "--out-dir", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "label column 'x0' is also a declared attribute" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestNonFiniteInput:
     """A non-finite cell fails the run at its row and column; no output is written."""

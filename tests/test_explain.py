@@ -409,7 +409,7 @@ class TestRender:
         bounds = BoxBounds(np.zeros(2), np.ones(2))
         expl = Explanation(
             bounds=bounds, clauses=[], coverage=1.0, precision=0.5,
-            query_label=1, feasible=False, query_encoded=np.array([0.5, 0.5]))
+            query_label=1, feasible=False)
         assert expl.rule_text() == "TRUE"
         assert expl.to_record()["coverage"] == 1.0
 

@@ -12,7 +12,7 @@ def box_explanation(l, u, label=1):
     u = np.asarray(u, dtype=float)
     return Explanation(
         bounds=BoxBounds(l, u), clauses=[], coverage=0.0, precision=1.0,
-        query_label=label, feasible=True, query_encoded=(l + u) / 2)
+        query_label=label, feasible=True)
 
 
 def union_coverage(members, X):

@@ -293,7 +293,7 @@ class TestMembershipValuesShape:
         rng = np.random.default_rng(9)
         X = rng.random((20, 3))
         b = BoxBounds(rng.random(3) * 0.4, 0.6 + rng.random(3) * 0.4)
-        batch = BoxStats(X, DEFAULTS).membership(b.signed()[None])[0]
+        batch = BoxStats(X, DEFAULTS).forward(b.signed()[None], np.zeros((1, len(X)))).h[0]
         singles = [membership_h(b, x) for x in X]
         np.testing.assert_allclose(batch, singles, atol=1e-14)
 

@@ -163,7 +163,7 @@ def test_soft_measures_match_reference(table, mode, scaled):
     l, u = draw_box(mode, X, rng)
     b = BoxBounds(l, u)
     h = ref_membership(l, u, X, k)
-    close(BoxStats(X, k).membership(b.signed()[None])[0], h)
+    close(BoxStats(X, k).forward(b.signed()[None], np.zeros((1, len(X)))).h[0], h)
     close(cov_hat(b, X, k), h.mean())
     match = labels == 1
     close(pre_hat(b, X, labels, 1, k), (h * match).sum() / max(h.sum(), 1e-300))
@@ -181,7 +181,7 @@ def test_soft_measures_of_many_boxes_equal_one_box_measures(table, modes, scaled
     got = soft_measures(boxes, X, labels, query_labels, k)
     assert got.shape == (2, len(boxes))
     for i, (b, label) in enumerate(zip(boxes, query_labels)):
-        h = BoxStats(X, k).membership(b.signed()[None])[0]
+        h = BoxStats(X, k).forward(b.signed()[None], np.zeros((1, len(X)))).h[0]
         match = (labels == label).astype(np.float64)
         assert got[0, i] == cov_hat(b, X, k)
         assert got[1, i] == pre_hat(b, X, labels, label, k)
@@ -237,7 +237,7 @@ def test_many_boxes_in_one_pass_match_single_passes(table, modes, threshold, sca
     for i, (l, u) in enumerate(boxes):
         solo = BoxStats(X, k)
         one = solo.forward(S[i:i + 1], match[i:i + 1])
-        for field in ("h_sum", "match_sum", "slope", "n_in", "n_match"):
+        for field in ("h", "h_sum", "match_sum", "slope", "n_in", "n_match"):
             np.testing.assert_array_equal(getattr(p, field)[i], getattr(one, field)[0])
         np.testing.assert_array_equal(back[i], solo.backward(weights[i:i + 1])[0])
         assert (n_in[i], n_match[i]) == (one.n_in[0], one.n_match[0])

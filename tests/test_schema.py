@@ -74,6 +74,11 @@ class TestLoadTable:
         table = load_table(path, people_schema, label_column="y")
         assert table.labels.tolist() == [0, 1]
 
+    def test_label_column_must_not_be_an_attribute(self, tmp_path, people_schema):
+        path = write(tmp_path, "t.csv", "Age,Sex\n17,M\n43,F\n")
+        with pytest.raises(LoadError, match="label column 'Age' is also a declared attribute"):
+            load_table(path, people_schema, label_column="Age")
+
     def test_negative_labels(self, tmp_path, people_schema):
         path = write(tmp_path, "t.csv", "Age,Sex,y\n17,M,-1\n43,F,1.0\n")
         assert load_table(path, people_schema, label_column="y").labels.tolist() == [-1, 1]
@@ -436,16 +441,16 @@ class TestDecodeBounds:
 
 
 class TestSnapDiscrete:
-    def make_space(self, rng, n=300):
+    def make_space(self, rng, n=300, categories=("x", "y", "z")):
         schema = [
             AttributeSchema(name="a", kind="continuous"),
             AttributeSchema(name="g", kind="ordered_discrete", levels=(1, 2, 3, 4, 5)),
-            AttributeSchema(name="c", kind="categorical", categories=("x", "y", "z")),
+            AttributeSchema(name="c", kind="categorical", categories=categories),
         ]
         table = RawTable(schema, [
             rng.random(n),
             rng.choice([1.0, 2.0, 3.0, 4.0, 5.0], n),
-            np.asarray(rng.choice(["x", "y", "z"], n), dtype=object),
+            np.asarray(rng.choice(categories, n), dtype=object),
         ])
         return encode(table)
 
@@ -461,14 +466,20 @@ class TestSnapDiscrete:
         assert snapped.l[4] == 1.0                               # one-hot pinned upward
         assert snapped.u[3] == 0.0                               # one-hot excluded downward
 
-    @pytest.mark.parametrize("lo, hi", [(0.1, 0.9), (1 / 6, 5 / 6)], ids=["between", "on"])
-    def test_ordered_axis_admitting_every_level_is_widened(self, lo, hi):
-        space = self.make_space(np.random.default_rng(0))
-        l = np.array([0.3, lo, 0.0, 0.0, 0.0])
-        u = np.array([0.9, hi, 1.0, 1.0, 1.0])
+    @pytest.mark.parametrize("lo, hi, categories, one_hot_l", [
+        (0.1, 0.9, ("x", "y", "z"), 0.0),
+        (1 / 6, 5 / 6, ("x", "y", "z"), 0.0),
+        # a lone category's column holds only 1, so admitting 1 admits every row
+        (1 / 6, 5 / 6, ("x",), 1.0),
+    ], ids=["between", "on", "lone-category"])
+    def test_ordered_axis_admitting_every_level_is_widened(self, lo, hi, categories, one_hot_l):
+        space = self.make_space(np.random.default_rng(0), categories=categories)
+        l = np.array([0.3, lo] + [one_hot_l] * len(categories))
+        u = np.array([0.9, hi] + [1.0] * len(categories))
         snapped = snap_discrete(BoxBounds(l, u), space)
-        assert (snapped.l[1], snapped.u[1]) == (0.0, 1.0)
+        assert (snapped.l[1:] == 0.0).all() and (snapped.u[1:] == 1.0).all()
         assert nontrivial_attributes(snapped.l, snapped.u, space) == [0]
+        assert [c.attribute for c in decode_bounds(snapped.l, snapped.u, space)] == ["a"]
 
     def test_membership_identical_before_and_after(self):
         rng = np.random.default_rng(1)
