@@ -55,19 +55,31 @@ def predict_batch(provider: PredictionProvider, points: np.ndarray) -> np.ndarra
     return labels.astype(np.int64)
 
 
+def _row_keys(points: np.ndarray):
+    """The bytes of each row of (N, D) points, in order, read
+    ``EXTERNAL_CHUNK_SIZE`` rows at a time, so a column-major table is never
+    copied whole."""
+    for start in range(0, len(points), EXTERNAL_CHUNK_SIZE):
+        chunk = points[start:start + EXTERNAL_CHUNK_SIZE]
+        data, step = chunk.tobytes(), chunk[0].nbytes  # tobytes is row-major
+        # each row's slice of the chunk's bytes; a zero-width row's is b""
+        for k in range(0, len(data), step) if step else range(len(chunk)):
+            yield data[k:k + step]
+
+
 class StoredColumnProvider(PredictionProvider):
     """Labels for the rows of a known dataset, matched by row identity."""
 
     def __init__(self, points: np.ndarray, labels: np.ndarray):
-        X = np.ascontiguousarray(points, dtype=np.float64)
+        X = np.asarray(points, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         if len(labels) != len(X):
             raise ProviderError(
                 f"label column has {len(labels)} entries for {len(X)} rows")
         self._labels = labels
         self._index = {}
-        for i, row in enumerate(X):
-            first = self._index.setdefault(row.tobytes(), i)
+        for i, key in enumerate(_row_keys(X)):
+            first = self._index.setdefault(key, i)
             # a repeated row must agree with the label of its first occurrence
             if first != i and labels[first] != labels[i]:
                 raise ProviderError(
@@ -75,10 +87,10 @@ class StoredColumnProvider(PredictionProvider):
                     f"{labels[first]} and {labels[i]}", point_index=i)
 
     def predict(self, points: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(points, dtype=np.float64)
+        X = np.asarray(points, dtype=np.float64)
         out = np.empty(len(X), dtype=np.int64)
-        for i, row in enumerate(X):
-            idx = self._index.get(row.tobytes())
+        for i, key in enumerate(_row_keys(X)):
+            idx = self._index.get(key)
             if idx is None:
                 raise ProviderError(
                     "stored-column provider only labels rows of its dataset",
@@ -243,9 +255,14 @@ class ExternalCommandProvider(PredictionProvider):
         out = np.empty(len(X), dtype=np.int64)
         for start in range(0, len(X), EXTERNAL_CHUNK_SIZE):
             batch = X[start:start + EXTERNAL_CHUNK_SIZE]
-            request = json.dumps(batch.tolist()) + "\n"
             try:
-                self._proc.stdin.write(request.encode("utf-8"))
+                # the bytes of json.dumps(batch.tolist()) + "\n", written into
+                # the buffered stdin a point at a time
+                write = self._proc.stdin.write
+                for i, point in enumerate(batch):
+                    write(b", " if i else b"[")
+                    write(json.dumps(point.tolist()).encode())
+                write(b"]\n")
                 self._proc.stdin.flush()
             except (BrokenPipeError, OSError) as exc:
                 code = self._proc.poll()

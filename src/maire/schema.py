@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import logging
+from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 
@@ -69,6 +71,8 @@ def load_schema(path: str) -> list[AttributeSchema]:
             raw = json.load(fh)
     except OSError as exc:
         raise LoadError(f"cannot read schema file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"schema file {path} is not UTF-8: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise LoadError(f"schema file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("attributes"), list):
@@ -119,20 +123,25 @@ def load_table(path: str, schema: list[AttributeSchema], label_column: str | Non
 
     Column names must match the schema exactly, plus ``label_column`` when
     given, which must not name an attribute. Errors name the offending row
-    and column.
+    and column. Rows are typed as they are read, so the file's text is
+    never held whole.
     """
     if label_column in {a.name for a in schema}:
         raise LoadError(f"table {path}: label column {label_column!r} is also a declared attribute")
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+            return _read_table(path, csv.reader(fh), schema, label_column)
     except OSError as exc:
         raise LoadError(f"cannot read table {path}: {exc}") from exc
-    if not rows:
-        raise LoadError(f"table {path}: no rows")
-    header, data = rows[0], rows[1:]
-    if not data:
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"table {path} is not UTF-8: {exc.reason}") from exc
+
+
+def _read_table(path: str, reader, schema: list[AttributeSchema],
+                label_column: str | None) -> RawTable:
+    """The typed columns of a CSV reader's rows, checked as ``load_table`` says."""
+    header, first = next(reader, None), next(reader, None)
+    if first is None:
         raise LoadError(f"table {path}: no rows")
 
     repeated = sorted({name for name in header if header.count(name) > 1})
@@ -146,23 +155,30 @@ def load_table(path: str, schema: list[AttributeSchema], label_column: str | Non
     if extra:
         raise LoadError(f"table {path}: unexpected column(s) {extra}")
 
-    col_of = {name: header.index(name) for name in expected}
-    columns: list[list] = [[] for _ in schema]
-    labels: list[int] = []
-    for r, row in enumerate(data):
+    # numeric cells are read as floats, and a categorical cell as its
+    # schema's own category object when it names one; a category or level
+    # that is not declared is reported once every row is read
+    columns = [[] if a.kind == "categorical" else array("d") for a in schema]
+    numeric = [(header.index(a.name), column, a.name)
+               for a, column in zip(schema, columns) if a.kind != "categorical"]
+    named = [(header.index(a.name), column, {c: c for c in a.categories})
+             for a, column in zip(schema, columns) if a.kind == "categorical"]
+    labels = array("q")
+    at_label = header.index(label_column) if label_column else None
+    for r, row in enumerate(itertools.chain([first], reader)):
         if len(row) != len(header):
             raise LoadError(f"table {path}: row {r} has {len(row)} cells, expected {len(header)}")
-        for j, attr in enumerate(schema):
-            cell = row[col_of[attr.name]]
-            if attr.kind != "categorical":
-                try:
-                    cell = float(cell)
-                except ValueError as exc:
-                    raise LoadError(
-                        f"table {path}: row {r} column {attr.name!r}: unparseable cell {cell!r}") from exc
-            columns[j].append(cell)
-        if label_column:
-            cell = row[col_of[label_column]]
+        for at, column, name in numeric:
+            try:
+                column.append(float(row[at]))
+            except ValueError as exc:
+                raise LoadError(
+                    f"table {path}: row {r} column {name!r}: unparseable cell {row[at]!r}") from exc
+        for at, column, category in named:
+            cell = row[at]
+            column.append(category.get(cell, cell))
+        if at_label is not None:
+            cell = row[at_label]
             value = _label(cell)
             if value is None:
                 raise LoadError(
@@ -170,8 +186,9 @@ def load_table(path: str, schema: list[AttributeSchema], label_column: str | Non
             labels.append(value)
 
     typed = []
-    for attr, col in zip(schema, columns):
-        col = np.asarray(col, dtype=object if attr.kind == "categorical" else np.float64)
+    for attr, column in zip(schema, columns):
+        col = (np.asarray(column, dtype=object) if attr.kind == "categorical"
+               else np.frombuffer(column))
         if attr.kind != "continuous":
             try:
                 codes = _codes(attr, col)
@@ -180,7 +197,8 @@ def load_table(path: str, schema: list[AttributeSchema], label_column: str | Non
             if attr.kind == "ordered_discrete":
                 col = np.asarray(attr.levels)[codes]  # each value snapped onto its level
         typed.append(col)
-    return RawTable(list(schema), typed, np.asarray(labels, dtype=np.int64) if label_column else None)
+    return RawTable(list(schema), typed,
+                    np.frombuffer(labels, dtype=np.int64) if label_column else None)
 
 
 def _label(cell: str) -> int | None:
@@ -257,27 +275,34 @@ def _positions(attr: AttributeSchema) -> tuple[float, ...]:
     return tuple((t + 1) / (m + 1) for t in range(m))
 
 
+def _width(attr: AttributeSchema) -> int:
+    """Number of encoded columns of an attribute."""
+    return len(attr.categories) if attr.kind == "categorical" else 1
+
+
 def _encode_attribute(
     attr: AttributeSchema,
     raw,
+    out: np.ndarray,
     value_range: tuple[float, float] | None = None,
     query: bool = False,
-) -> tuple[np.ndarray, tuple[float, float] | None, int]:
-    """Encoded columns of one attribute's raw values.
+) -> tuple[tuple[float, float] | None, int]:
+    """Write the encoded columns of one attribute's raw values into ``out``,
+    their (n, width) block of the matrix.
 
-    Returns the (n, width) block, the (min, max) a continuous attribute was
-    scaled by and the number of values clamped into [0, 1]. The range is
-    ``value_range``, else the declared one, else fitted to the values.
-    Ordered values go to the position of their level and categories expand
-    to one-hot columns. Errors name the row (the query with ``query``) and
-    the column.
+    Returns the (min, max) a continuous attribute was scaled by and the
+    number of values clamped into [0, 1]. The range is ``value_range``, else
+    the declared one, else fitted to the values. Ordered values go to the
+    position of their level and categories expand to one-hot columns. Errors
+    name the row (the query with ``query``) and the column.
     """
     if attr.kind == "categorical":
-        codes = _codes(attr, raw, query)
-        return (codes[:, None] == np.arange(len(attr.categories))).astype(np.float64), None, 0
+        out[:] = _codes(attr, raw, query)[:, None] == np.arange(len(attr.categories))
+        return None, 0
     values = _numbers(attr, raw, query)
     if attr.kind == "ordered_discrete":
-        return np.asarray(_positions(attr))[_codes(attr, values, query)][:, None], None, 0
+        out[:, 0] = np.asarray(_positions(attr))[_codes(attr, values, query)]
+        return None, 0
     finite = np.isfinite(values)
     if not finite.all():
         r = int(np.argmin(finite))
@@ -285,13 +310,14 @@ def _encode_attribute(
     lo, hi = value_range or attr.value_range or (float(values.min()), float(values.max()))
     if lo >= hi:
         raise SchemaError(f"attribute {attr.name!r}: constant column cannot be normalized")
-    z = (values - lo) / (hi - lo)
+    z = out[:, 0]
+    z[:] = (values - lo) / (hi - lo)
     clamped = int(((z < 0.0) | (z > 1.0)).sum())
     if clamped:
         log.warning("clamp: attribute %r: %d value(s) outside fitted range [%s, %s]",
                     attr.name, clamped, lo, hi)
-        z = np.clip(z, 0.0, 1.0)
-    return z[:, None], (lo, hi), clamped
+        np.clip(z, 0.0, 1.0, out=z)
+    return (lo, hi), clamped
 
 
 @dataclass
@@ -344,39 +370,38 @@ class EncodedSpace:
         """Encode one raw instance (sequence aligned with the attributes)."""
         if len(values) != len(self.attributes):
             raise SchemaError(f"instance has {len(values)} values, expected {len(self.attributes)}")
-        blocks = []
+        row = np.empty((1, len(self.attr_of)))
+        stop = 0
         for i, (attr, v) in enumerate(zip(self.attributes, values)):
+            start, stop = stop, stop + _width(attr)
             raw = np.empty(1, dtype=object)
             raw[0] = v
-            block, _, clamped = _encode_attribute(attr, raw, self.normalizers.get(i), query=True)
+            _, clamped = _encode_attribute(attr, raw, row[:, start:stop], self.normalizers.get(i),
+                                           query=True)
             self.clamp_warnings += clamped
-            blocks.append(block[0])
-        return np.concatenate(blocks)
+        return row[0]
 
 
 def encode(table: RawTable, schema: list[AttributeSchema] | None = None) -> EncodedSpace:
     """Build the encoded space from a raw table, fitting continuous ranges."""
     attrs = list(schema) if schema is not None else list(table.attributes)
-    blocks: list[np.ndarray] = []
-    attr_of: list[int] = []
+    widths = [_width(attr) for attr in attrs]
+    attr_of = np.repeat(np.arange(len(attrs), dtype=np.intp), widths)
+    # each attribute's block is written in place, into its columns
+    matrix = np.empty((table.n_rows, len(attr_of)), order="F")
     normalizers: dict[int, tuple[float, float]] = {}
     raw_values: dict[int, np.ndarray] = {}
-    clamps = 0
+    clamps = stop = 0
     for i, attr in enumerate(attrs):
+        start, stop = stop, stop + widths[i]
         raw = table.columns[i]
         if attr.kind == "continuous":
             raw = raw_values[i] = _numbers(attr, raw, False)
-        block, scale, clamped = _encode_attribute(attr, raw)
-        blocks.append(block)
+        scale, clamped = _encode_attribute(attr, raw, matrix[:, start:stop])
         clamps += clamped
         if scale is not None:
             normalizers[i] = scale
-        attr_of += [i] * block.shape[1]
-    # the one copy that joins the blocks writes them column-major
-    matrix = np.empty((table.n_rows, len(attr_of)), order="F")
-    if blocks:
-        np.concatenate(blocks, axis=1, out=matrix)
-    return EncodedSpace(matrix, np.asarray(attr_of, dtype=np.intp), attrs, normalizers,
+    return EncodedSpace(matrix, attr_of, attrs, normalizers,
                         clamp_warnings=clamps, raw_values=raw_values)
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,10 +103,17 @@ class TestStoredColumn:
 
     def test_conflicting_duplicate_rows_rejected(self):
         X = np.array([[0.1, 0.2], [0.5, 0.5], [0.1, 0.2], [0.1, 0.2]])
-        # the second copy disagrees, or a third after two that agree
-        for labels, second in (([0, 1, 1], 2), ([0, 1, 0, 1], 3)):
-            with pytest.raises(ProviderError, match=f"rows 0 and {second}") as info:
-                StoredColumnProvider(X[:len(labels)], np.array(labels))
+        wide = np.asfortranarray(np.random.default_rng(0).random((1600, 2)))
+        wide[1500] = wide[3]
+        wide_labels = np.zeros(1600, dtype=int)
+        wide_labels[1500] = 1
+        # the second copy disagrees, or a third after two that agree, or the
+        # copies fall in different chunks of a column-major table
+        for points, labels, first, second in ((X[:3], [0, 1, 1], 0, 2), (X, [0, 1, 0, 1], 0, 3),
+                                              (wide, wide_labels, 3, 1500)):
+            with pytest.raises(ProviderError, match=f"rows {first} and {second} encode to the "
+                                                    "same point but carry labels") as info:
+                StoredColumnProvider(points, np.array(labels))
             assert info.value.point_index == second
 
     def test_negative_labels_accepted(self):
@@ -117,6 +125,9 @@ class TestStoredColumn:
         X = np.array([[0.1, 0.2], [0.5, 0.5], [0.1, 0.2]])
         provider = StoredColumnProvider(X, np.array([1, 0, 1]))
         np.testing.assert_array_equal(predict_batch(provider, X), [1, 0, 1])
+        # rows of width 0 are all one point
+        provider = StoredColumnProvider(np.zeros((3, 0)), np.array([2, 2, 2]))
+        np.testing.assert_array_equal(predict_batch(provider, np.zeros((2, 0))), [2, 2])
 
 
 ECHO_SCRIPT = """
@@ -128,6 +139,16 @@ for line in sys.stdin:
     reply = labels[cursor:cursor + len(points)]
     cursor += len(points)
     print(json.dumps(reply), flush=True)
+"""
+
+
+LOG_SCRIPT = """
+import json, sys
+with open(sys.argv[1], "wb") as log:
+    for line in sys.stdin.buffer:
+        log.write(line)
+        log.flush()
+        print(json.dumps([0] * len(json.loads(line))), flush=True)
 """
 
 
@@ -146,6 +167,27 @@ class TestExternalCommand:
                 f"{sys.executable} {script} {labels_file}", timeout_s=20.0) as provider:
             external = predict_batch(provider, X)
         np.testing.assert_array_equal(external, stored)
+
+    def test_requests_are_written_a_point_at_a_time(self, tmp_path):
+        """The bytes of each request are those of one ``json.dumps`` of its
+        chunk, and no chunk is held as text or Python floats."""
+        log = tmp_path / "requests.log"
+        script = tmp_path / "logger.py"
+        script.write_text(LOG_SCRIPT)
+        X = np.asfortranarray(np.random.default_rng(5).random((2100, 27)))
+        X[7, :3] = [-0.0, 1e-300, 12345678.9]
+        with ExternalCommandProvider(f"{sys.executable} {script} {log}") as provider:
+            tracemalloc.start()
+            try:
+                labels = predict_batch(provider, X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            predict_batch(provider, X[5:6])
+        np.testing.assert_array_equal(labels, np.zeros(2100))
+        chunks = (X[:1024], X[1024:2048], X[2048:], X[5:6])
+        assert log.read_bytes() == "".join(json.dumps(c.tolist()) + "\n" for c in chunks).encode()
+        assert peak < 0.5e6
 
     def test_nonzero_exit_reported(self):
         with ExternalCommandProvider(f"{sys.executable} -c 'import sys; sys.exit(3)'") as provider:

@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +56,11 @@ class TestLoadTable:
             load_table(path, people_schema)
 
     def test_header_only(self, tmp_path, people_schema):
-        path = write(tmp_path, "t.csv", "Age,Sex\n")
-        with pytest.raises(LoadError, match="no rows"):
-            load_table(path, people_schema)
+        # "no rows" comes before any check of the header
+        for text in ("Age,Sex\n", "Age\n"):
+            path = write(tmp_path, "t.csv", text)
+            with pytest.raises(LoadError, match="no rows"):
+                load_table(path, people_schema)
 
     def test_missing_column(self, tmp_path, people_schema):
         path = write(tmp_path, "t.csv", "Age\n17\n")
@@ -65,9 +68,11 @@ class TestLoadTable:
             load_table(path, people_schema)
 
     def test_unparseable_cell(self, tmp_path, people_schema):
-        path = write(tmp_path, "t.csv", "Age,Sex\nseventeen,M\n")
-        with pytest.raises(LoadError, match=r"row 0.*Age"):
-            load_table(path, people_schema)
+        # a number that does not parse is reported before any unknown category
+        for text, row in (("Age,Sex\nseventeen,M\n", 0), ("Age,Sex\n17,X\nseventeen,M\n", 1)):
+            path = write(tmp_path, "t.csv", text)
+            with pytest.raises(LoadError, match=rf"row {row}.*Age.*unparseable"):
+                load_table(path, people_schema)
 
     def test_label_column(self, tmp_path, people_schema):
         path = write(tmp_path, "t.csv", "Age,Sex,y\n17,M,0\n43,F,1\n")
@@ -155,6 +160,33 @@ class TestLoadSchema:
             AttributeSchema(name="x", kind="categorical", categories=("A", ""))
         with pytest.raises(SchemaError):
             AttributeSchema(name="x", kind="interval")
+
+
+@pytest.mark.parametrize("load, text, what", [
+    (load_table, b"Age,Sex\n17,M\n30,\xe9\n", "table"),
+    (load_schema, b'{"attributes": [{"name": "\xc2ge", "kind": "continuous"}]}', "schema file"),
+], ids=["table", "schema"])
+def test_file_that_is_not_utf8_is_named(tmp_path, people_schema, load, text, what):
+    path = tmp_path / "latin1"
+    path.write_bytes(text)  # Latin-1 "é" and "Â"
+    args = (str(path), people_schema) if load is load_table else (str(path),)
+    with pytest.raises(LoadError, match=rf"{what} {re.escape(str(path))} is not UTF-8"):
+        load(*args)
+
+
+def test_load_and_encode_hold_little_beyond_the_matrix(tmp_path):
+    """Rows are typed as they are read and each attribute is encoded in
+    place, so loading never holds the file's text or a second matrix."""
+    tables = bench_tables()
+    csv_path, schema_path = tables.write_table(tables.population(5000, 7), tmp_path)
+    schema = load_schema(str(schema_path))
+    tracemalloc.start()
+    try:
+        space = encode(load_table(str(csv_path), schema), schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * space.matrix.nbytes
 
 
 class TestEncode:
