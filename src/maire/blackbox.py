@@ -48,6 +48,10 @@ def predict_batch(provider: PredictionProvider, points: np.ndarray) -> np.ndarra
         raise ProviderError(
             f"provider returned {labels.shape} labels for {X.shape[0]} points")
     if not np.issubdtype(labels.dtype, np.integer):
+        # a float an int64 cannot hold (NaN, infinite or too large) is
+        # rejected before the cast, which would only warn
+        if labels.dtype.kind == "f" and not np.all((labels >= -2.0**63) & (labels < 2.0**63)):
+            raise ProviderError("provider returned non-integer or out-of-range labels")
         as_int = labels.astype(np.int64)
         if not np.array_equal(as_int, labels):
             raise ProviderError("provider returned non-integer labels")

@@ -88,12 +88,13 @@ class OptimizationTrace:
 
 # Boxes step together in blocks whose work arrays (above all the kernel's
 # dense (4w, A, N) buffer, and in the elimination the (A, attrs, N) outside
-# masks) fit in this many bytes. Past a few MB a block gains no speed, since
-# a numpy call's fixed cost is already small against its work, but it keeps
-# adding resident memory.
+# masks) fit in this many bytes. A larger block pays a block's fixed numpy
+# calls fewer times, but at 120 rows the gain flattens out past about 3 MiB
+# while resident memory keeps growing.
 BLOCK_BYTES = 2 << 20
 # Iterations stepped between the passes that work out objectives and trace
-# values and rank iterates.
+# values and rank iterates, at most (see ``_stretch``). The ranking keeps the
+# earliest iterate with the top key, so the length changes no result.
 STRETCH = 32
 
 
@@ -103,13 +104,15 @@ def _gate(n_match: np.ndarray, n_in: np.ndarray, cfg: OptimizerConfig) -> np.nda
     return 1.0 + np.sign(cfg.precision_threshold - precision(n_in, n_match, empty=0.0))
 
 
-def _containment(s: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _containment(s: np.ndarray, qs: np.ndarray,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Which of the (..., 2D) signed bounds ``s`` lie past the query, ``qs``
     = (q, -q), and the containment violation: the summed distance past it,
-    s - qs (l - q on the lower bounds, q - u on the upper), per box."""
-    past = s - qs
-    viol = np.add.reduce(np.maximum(past, 0.0).reshape(*past.shape[:-1], 2, -1), axis=-1)
-    return past > 0.0, viol[..., 0] + viol[..., 1]
+    s - qs (l - q on the lower bounds, q - u on the upper), per box. The
+    distances, clipped at 0, are written into ``out`` if given."""
+    dist = np.subtract(s, qs, out=out)
+    viol = np.add.reduce(np.maximum(dist, 0.0, out=dist).reshape(*dist.shape[:-1], 2, -1), axis=-1)
+    return dist > 0.0, viol[..., 0] + viol[..., 1]
 
 
 def _step(stats: BoxStats, s: np.ndarray, qs: np.ndarray, match: np.ndarray,
@@ -206,11 +209,20 @@ def optimize(
     return optimize_many([initial], q[None], BoxStats(data, k), labels, [query_label], cfg)[0]
 
 
-def _box_bytes(stats: BoxStats) -> int:
-    """Work-array bytes of one box in a block: the kernel's dense buffer and
-    about ten other per-row arrays of a pass, plus a stretch of its bounds
-    and two arrays of their distances past the query."""
-    return 8 * stats.n * (4 * stats.dense.size + 10) + 8 * STRETCH * 6 * stats.d
+def _stretch(stats: BoxStats) -> int:
+    """Iterations per stretch: ``STRETCH``, or fewer where a box's stretch of
+    iterates and their scratch would take over an eighth of its other bytes."""
+    return max(1, min(STRETCH, _box_bytes(stats, 0) // (8 * 32 * stats.d)))
+
+
+def _box_bytes(stats: BoxStats, stretch: int | None = None) -> int:
+    """Bytes one box holds in a block at the peak of a pass: per row, the
+    dense buffer and about 13 other arrays; about 7 per level comparison; per
+    signed bound, about 7 arrays and a stretch of iterates and their scratch,
+    ``stretch`` (by default ``_stretch``) long. The trace is left out: it
+    outlives the block and does not depend on the blocking."""
+    return 8 * (stats.n * (4 * stats.dense.size + 13) + 14 * stats.level_val.size
+                + 2 * stats.d * (2 * (_stretch(stats) if stretch is None else stretch) + 7))
 
 
 def optimize_many(
@@ -248,9 +260,9 @@ def _ascend(
     Per-box state is held in (A, .) arrays. Each iteration takes one kernel
     pass and the gradient; everything else (objective, trace values, snapped
     recounts and the ranking of iterates) is worked out once per stretch of
-    ``STRETCH`` iterations, over all of them at once.
+    ``_stretch`` iterations, over all of them at once.
     """
-    a, d, n = len(initial), stats.d, stats.n
+    a, d, n, stretch = len(initial), stats.d, stats.n, _stretch(stats)
     s = np.stack([b.signed() for b in initial])
     qs = np.concatenate([queries, -queries], axis=1)
     lo, hi = np.repeat([[0.0, -1.0], [1.0, 0.0]], d, axis=1)  # l in [0, 1], -u in [-1, 0]
@@ -262,16 +274,20 @@ def _ascend(
     best_s = s.copy()
     best_key = np.full(a, -1.0)  # below every key: iteration 0 always wins
     best_iteration = np.zeros(a, dtype=np.intp)
-    logged = []  # (C, A, 6) trace values per stretch
+    values = np.empty((cfg.max_iters, a, 6))  # box i's trace is values[:, i]
+    S = np.empty((min(stretch, cfg.max_iters), a, 2 * d))  # the stretch's iterates
+    P = np.empty_like(S)  # scratch: their distances past the query, then their snaps
 
     def rank(S, past, cov, pre, violation, first):
         """Fold iterations first, first + 1, ... into the best iterates. Rows
         are iterations: (C, A, 2D) signed bounds and which of them lie past
         the query, (C, A) per-box values."""
         if cfg.containment_snap:
-            # the snap moves onto the query the bounds that lie past it; the
-            # iterates it moved are recounted over the table one at a time
-            S = np.where(past, qs, S)
+            # the snap moves the bounds past the query onto it, in the scratch;
+            # the iterates it moved are recounted over the table one at a time
+            np.copyto(P[:len(S)], S)
+            S = P[:len(S)]
+            np.copyto(S, qs, where=past)
             moved = violation > 0.0
             if moved.any():
                 n_in, n_match = np.array([in_box_counts(
@@ -297,10 +313,9 @@ def _ascend(
     rank(s[None], past[None], cov[None], pre[None], violation[None], 0)
 
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    S = np.empty((min(STRETCH, cfg.max_iters), a, 2 * d))  # the stretch's iterates
-    for first in range(1, cfg.max_iters + 1, STRETCH):
+    for first in range(1, cfg.max_iters + 1, stretch):
         sums = []
-        for j, it in enumerate(range(first, min(first + STRETCH, cfg.max_iters + 1))):
+        for j, it in enumerate(range(first, min(first + stretch, cfg.max_iters + 1))):
             # Adam: s + lr m_hat / (sqrt(v_hat) + eps), clipped. m and the move
             # are odd in the gradient and v even, so -u steps exactly as u, negated.
             # s is a view of S[j], so the projection below writes through to rank
@@ -320,12 +335,11 @@ def _ascend(
             p, grad = _step(stats, s, qs, match, cfg)
             sums.append((p.h_sum, p.match_sum, p.n_in, p.n_match))
         rows = len(sums)
-        past, violation = _containment(S[:rows], qs)
+        past, violation = _containment(S[:rows], qs, out=P[:rows])
         terms = _terms(*(np.array(x) for x in zip(*sums)), violation, cfg, n)
         rank(S[:rows], past, terms[3], terms[4], violation, first)
-        logged.append(np.stack(terms, axis=2))
+        np.stack(terms, axis=2, out=values[first - 1:first - 1 + rows])
 
-    values = np.concatenate(logged)  # (T, A, 6): box i's trace is values[:, i]
     return [(BoxBounds.from_signed(best_s[i]),
              OptimizationTrace(values[:, i], int(best_iteration[i]), bool(best_key[i] >= 2.0)))
             for i in range(a)]

@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import logging
+import math
 from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
@@ -59,9 +60,14 @@ class AttributeSchema:
                 raise SchemaError(f"attribute {self.name!r}: categories must be unique and non-empty")
         if self.value_range is not None:
             lo, hi = self.value_range
+            if isinstance(lo, (bool, np.bool_)) or isinstance(hi, (bool, np.bool_)):
+                raise SchemaError(f"attribute {self.name!r}: range ends must be numbers")
+            lo, hi = float(lo), float(hi)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise SchemaError(f"attribute {self.name!r}: range ends must be finite")
             if not lo < hi:
                 raise SchemaError(f"attribute {self.name!r}: range must satisfy min < max")
-            object.__setattr__(self, "value_range", (float(lo), float(hi)))
+            object.__setattr__(self, "value_range", (lo, hi))
 
 
 def load_schema(path: str) -> list[AttributeSchema]:

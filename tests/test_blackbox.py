@@ -284,3 +284,20 @@ class TestPredictBatch:
 
         with pytest.raises(ProviderError, match="labels for"):
             predict_batch(Broken(), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf, 1e30, 2.0**63])
+    def test_float_label_no_int64_holds_is_rejected(self, label):
+        """Such a label is rejected before the cast, which would only warn."""
+        class Library:
+            def predict(self, points):
+                return np.full(len(points), label)
+
+        with pytest.raises(ProviderError, match="non-integer or out-of-range"):
+            predict_batch(Library(), np.zeros((1, 2)))
+
+    def test_integral_float_labels_pass(self):
+        class Library:
+            def predict(self, points):
+                return np.array([0.0, 1.0, -(2.0**63)])
+
+        assert predict_batch(Library(), np.zeros((3, 2))).tolist() == [0, 1, -(2**63)]

@@ -328,7 +328,7 @@ class TestExplainMany:
     def test_equals_one_query_at_a_time(self, monkeypatch, snap):
         space, labels = mixed_space(np.random.default_rng(11), 150)
         rows = list(range(0, 150, 6))
-        # 200 = 6 * 32 + 8 iterations: the last stretch is partial
+        # 200 = 11 * 17 + 13 iterations: the last stretch is partial
         cfg = OptimizerConfig(precision_threshold=0.9, max_iters=200, containment_snap=snap)
         assert cfg.max_iters % optimize_module.STRETCH
         alone = [explain_encoded(space.matrix[r], space, labels, labels[r], cfg, max_attrs=2)
@@ -361,6 +361,38 @@ class TestExplainMany:
         space, labels = mixed_space(np.random.default_rng(12), 40)
         empty = np.zeros((0, space.matrix.shape[1]))
         assert explain_many(empty, space, labels, [], OptimizerConfig(max_iters=10)) == []
+
+
+class TestStretch:
+    @pytest.mark.parametrize("snap", [True, False])
+    def test_stretch_length_changes_nothing(self, monkeypatch, snap):
+        """The ranking keeps the earliest iterate with the top key, so how
+        many iterations a stretch holds changes no bound, best iteration,
+        feasibility or trace value."""
+        space, labels = mixed_space(np.random.default_rng(11), 150)
+        rows = [0, 37, 74, 111]
+        cfg = OptimizerConfig(precision_threshold=0.9, max_iters=150, containment_snap=snap)
+        blocks, runs = [], []
+        ascend = optimize_module._ascend
+        monkeypatch.setattr(optimize_module, "_ascend",
+                            lambda stats, initial, *rest: blocks.append(len(initial))
+                            or ascend(stats, initial, *rest))
+        for stretch in (1, 7, 16, 32):
+            monkeypatch.setattr(optimize_module, "_stretch", lambda stats: stretch)
+            runs.append(optimize_module.optimize_many(
+                [optimize_module.initial_bounds(space.matrix[r]) for r in rows],
+                space.matrix[rows], BoxStats(space.matrix), labels, labels[rows].tolist(), cfg))
+        assert blocks == [4] * 4  # the four anchors step in lockstep
+        # some iterates lie past their query, so the snap has bounds to move
+        violation = optimize_module.TRACE_COLUMNS.index("violation")
+        assert any((trace.values[:, violation] > 0.0).any() for _, trace in runs[0])
+        for run in runs[1:]:
+            for (bounds, trace), (first_bounds, first_trace) in zip(run, runs[0]):
+                np.testing.assert_array_equal(bounds.l, first_bounds.l)
+                np.testing.assert_array_equal(bounds.u, first_bounds.u)
+                assert trace.best_iteration == first_trace.best_iteration
+                assert trace.feasible == first_trace.feasible
+                np.testing.assert_array_equal(trace.values, first_trace.values)
 
 
 def assert_identical(a: Explanation, b: Explanation):

@@ -1,6 +1,8 @@
 """Objective, analytic gradient, and the ascent loop."""
 
+import importlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +18,14 @@ from maire import (
     optimize,
     pre_hat,
 )
-from maire.indicator import pre_exact_or_none
+from maire.indicator import BoxStats, pre_exact_or_none
 from maire.optimize import TRACE_COLUMNS, _gate
 from maire.synthetic import synthetic_dataset
+
+from test_schema import bench_tables
+
+# the package exports a function of the same name
+optimize_module = importlib.import_module("maire.optimize")
 
 OBJECTIVE = TRACE_COLUMNS.index("objective")
 VIOLATION = TRACE_COLUMNS.index("violation")
@@ -270,7 +277,7 @@ class TestOptimize:
 
     def test_convergence_flag_on_flat_objective(self):
         # far-away data saturates every sigmoid: gradients vanish, objective
-        # flattens, and the ascent still runs max_iters (100 = 3 stretches + 4)
+        # flattens, and the ascent still runs max_iters (100 = 7 stretches of 13 + 9)
         X = np.full((30, 1), 0.95)
         labels = np.ones(30, dtype=int)
         q = np.array([0.1])
@@ -342,3 +349,50 @@ class TestConfig:
 
     def test_boundary_settings_accepted(self):
         OptimizerConfig(lambda1=0.0, lambda2=0.0)
+
+
+class TestBlockBudget:
+    """``_box_bytes`` counts what a box holds in a block, and the 120-row
+    bench table's 120 anchors fill ``BLOCK_BYTES`` in three blocks."""
+
+    @staticmethod
+    def population(rows):
+        tables = bench_tables()
+        X = tables.encode_columns(tables.population(rows, 0))
+        return X, tables.label_encoded(X)
+
+    def test_bench_table_runs_in_three_blocks(self, monkeypatch):
+        X, labels = self.population(120)
+        blocks = []
+        ascend = optimize_module._ascend
+        monkeypatch.setattr(optimize_module, "_ascend",
+                            lambda stats, initial, *rest: blocks.append(len(initial))
+                            or ascend(stats, initial, *rest))
+        optimize_module.optimize_many([initial_bounds(x) for x in X], X, BoxStats(X), labels,
+                                      labels.tolist(), OptimizerConfig(max_iters=100))
+        assert len(blocks) == 3
+
+    @pytest.mark.parametrize("rows, boxes", [(120, 42), (1000, 6), (30000, 0)])
+    def test_stretch_is_cut_only_on_a_short_table(self, rows, boxes):
+        """At 120 rows a full stretch would crowd boxes out of a block; from
+        1,000 rows it is a small share of a box and keeps its full length."""
+        stats = BoxStats(self.population(rows)[0])
+        stretch = optimize_module._stretch(stats)
+        assert (stretch < optimize_module.STRETCH) == (rows == 120)
+        assert optimize_module.BLOCK_BYTES // optimize_module._box_bytes(stats) == boxes
+
+    @pytest.mark.parametrize("rows", [120, 1000])
+    def test_count_matches_a_blocks_traced_peak(self, rows):
+        X, labels = self.population(rows)
+        stats = BoxStats(X)  # fresh, so the kernel's buffer is allocated while traced
+        box_bytes = optimize_module._box_bytes(stats)
+        size = optimize_module.BLOCK_BYTES // box_bytes
+        initial = [initial_bounds(x) for x in X[:size]]
+        tracemalloc.start()
+        try:
+            optimize_module.optimize_many(initial, X[:size], stats, labels,
+                                          labels[:size].tolist(), OptimizerConfig(max_iters=100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.75 <= peak / (size * box_bytes) <= 1.25

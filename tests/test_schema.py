@@ -151,6 +151,28 @@ class TestLoadSchema:
         with pytest.raises(LoadError, match=message):
             load_schema(write(tmp_path, "s.json", text))
 
+    @pytest.mark.parametrize("ends, message", [
+        ('["10", "9"]', "min < max"),
+        ('[0, Infinity]', "finite"),
+        ('[-Infinity, 1]', "finite"),
+        ('[NaN, 1]', "finite"),
+        ('[true, 2]', "must be numbers"),
+        ('[0, false]', "must be numbers"),
+    ], ids=["strings-reversed", "infinite-max", "infinite-min", "nan", "bool-min", "bool-max"])
+    def test_bad_range_is_named(self, tmp_path, ends, message):
+        """Each end of a range is converted before the ends are compared, so
+        a range that only looks ordered, or holds a bool or a non-finite
+        number, fails at load naming the file and the attribute."""
+        text = '{"attributes": [{"name": "a", "kind": "continuous", "range": %s}]}' % ends
+        path = write(tmp_path, "s.json", text)
+        with pytest.raises(LoadError, match=rf"{re.escape(path)}: attribute 0: .*'a'.*{message}"):
+            load_schema(path)
+
+    def test_numeric_string_range_is_converted(self, tmp_path):
+        path = write(tmp_path, "s.json",
+                     '{"attributes": [{"name": "a", "kind": "continuous", "range": ["9", "10"]}]}')
+        assert load_schema(path)[0].value_range == (9.0, 10.0)
+
     def test_invalid_declarations(self):
         with pytest.raises(SchemaError):
             AttributeSchema(name="x", kind="ordered_discrete", levels=(3, 1, 2))
