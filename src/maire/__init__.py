@@ -32,7 +32,6 @@ from .indicator import (
     cov_hat,
     gamma,
     inside_mask,
-    membership_h,
     pre_exact_or_none,
     pre_hat,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "inside_mask",
     "load_schema",
     "load_table",
-    "membership_h",
     "msd_select",
     "objective",
     "optimize",

@@ -109,8 +109,6 @@ _RUN_FLAGS = {
                       help="ignored: the anchors are stepped in lockstep in one thread"),
     "--trace": dict(action="store_true", help="write a per-iteration trace JSONL"),
     "--out-dir": dict(default=".", help="output directory"),
-    "--no-containment-snap": dict(action="store_true",
-                                  help="skip the final snap of bounds onto the query"),
 }
 
 
@@ -127,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_explain = sub.add_parser("explain", help="explain one query instance")
     _add_data_flags(p_explain)
-    _add_run_flags(p_explain, "--max-attrs", "--trace", "--no-containment-snap")
+    _add_run_flags(p_explain, "--max-attrs", "--trace")
     group = p_explain.add_mutually_exclusive_group(required=True)
     group.add_argument("--query-row", type=int, help="row index of the query in --data")
     group.add_argument("--query-json", help="query instance as a JSON array of raw values")
@@ -141,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("bounds-audit",
                              help="measure exact-vs-approximate gaps over random queries")
     _add_data_flags(p_audit)
-    _add_run_flags(p_audit, "--seed", "--threads", "--no-containment-snap")
+    _add_run_flags(p_audit, "--seed")
     p_audit.add_argument("--c1", type=float, default=0.4)
     p_audit.add_argument("--c2", type=float, default=15.0)
     p_audit.add_argument("--cl", type=float, default=0.02)
@@ -150,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_global = sub.add_parser("global", help="compose local explanations into a global one")
     _add_data_flags(p_global)
-    _add_run_flags(p_global, "--max-attrs", "--seed", "--threads", "--no-containment-snap")
+    _add_run_flags(p_global, "--max-attrs", "--seed", "--threads")
     p_global.add_argument("--anchors", type=_positive_int, default=200,
                           help="number of randomly chosen anchor rows")
     p_global.add_argument("--budget", type=_positive_int, default=None,
@@ -175,9 +173,9 @@ def _config(args) -> OptimizerConfig:
         max_iters=args.iters,
         lambda1=args.lambda1,
         lambda2=args.lambda2,
-        # figure mode shows the raw optimizer outcome: containment comes from
-        # the lambda2 penalty alone, never from the final snap
-        containment_snap=args.command != "synth" and not args.no_containment_snap,
+        # every tabular rule contains its query; figure mode shows the raw
+        # optimizer outcome, where containment comes from the lambda2 penalty alone
+        containment_snap=args.command != "synth",
     )
 
 

@@ -190,7 +190,10 @@ def _finish(
     # step's candidate mask and its matching rows, all bool, and a few
     # per-row arrays
     size = max(1, BLOCK_BYTES // (len(X) * (3 * len(space.attributes) + 16)))
-    columns = np.ascontiguousarray(X.T)  # the in-box test is 3-10x slower on a view
+    # an encoded matrix is column-major, so this is a view; it copies only a
+    # row-major matrix built by hand, whose strided X.T would make the in-box
+    # test 3-10x slower
+    columns = np.ascontiguousarray(X.T)
     eliminated = []
     for s in range(0, len(boxes), size):
         block = boxes[s:s + size]

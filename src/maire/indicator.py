@@ -373,11 +373,6 @@ def pre_hat(b: BoxBounds, points: np.ndarray, labels: np.ndarray, query_label: i
     return float(soft_measures([b], points, labels, [query_label], k)[1, 0])
 
 
-def membership_h(b: BoxBounds, x: np.ndarray, k: ApproxConstants = ApproxConstants()) -> float:
-    """Soft membership of a single point in the box: its ``cov_hat`` alone."""
-    return cov_hat(b, x, k)
-
-
 # ---------------------------------------------------------------------------
 # bound audits
 

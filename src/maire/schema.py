@@ -26,6 +26,12 @@ from .indicator import BoxBounds
 log = logging.getLogger(__name__)
 
 KINDS = ("continuous", "ordered_discrete", "categorical")
+# per kind: the one key a schema file entry holds besides name and kind, the
+# AttributeSchema field it fills, and the entry's allowed keys
+_OWN_KEY = {kind: (key, fld, frozenset(("name", "kind", key))) for kind, key, fld in (
+    ("continuous", "range", "value_range"), ("ordered_discrete", "levels", "levels"),
+    ("categorical", "categories", "categories"))}
+_BOOLS = frozenset((bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -49,9 +55,10 @@ class AttributeSchema:
         if self.kind == "ordered_discrete":
             if not self.levels:
                 raise SchemaError(f"attribute {self.name!r}: ordered_discrete needs levels")
-            object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
-            if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
+            levels = self._numbers(self.levels, "levels")
+            if any(a >= b for a, b in zip(levels, levels[1:])):
                 raise SchemaError(f"attribute {self.name!r}: levels must be strictly increasing")
+            object.__setattr__(self, "levels", levels)
         if self.kind == "categorical":
             if not self.categories:
                 raise SchemaError(f"attribute {self.name!r}: categorical needs categories")
@@ -59,15 +66,21 @@ class AttributeSchema:
             if any(not c for c in self.categories) or len(set(self.categories)) != len(self.categories):
                 raise SchemaError(f"attribute {self.name!r}: categories must be unique and non-empty")
         if self.value_range is not None:
-            lo, hi = self.value_range
-            if isinstance(lo, (bool, np.bool_)) or isinstance(hi, (bool, np.bool_)):
-                raise SchemaError(f"attribute {self.name!r}: range ends must be numbers")
-            lo, hi = float(lo), float(hi)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise SchemaError(f"attribute {self.name!r}: range ends must be finite")
+            if len(self.value_range) != 2:
+                raise SchemaError(f"attribute {self.name!r}: range must be [min, max]")
+            lo, hi = self._numbers(self.value_range, "range ends")
             if not lo < hi:
                 raise SchemaError(f"attribute {self.name!r}: range must satisfy min < max")
             object.__setattr__(self, "value_range", (lo, hi))
+
+    def _numbers(self, values, what: str) -> tuple[float, ...]:
+        """``values`` converted to float; a bool or a non-finite value is a SchemaError."""
+        if not _BOOLS.isdisjoint(map(type, values)):
+            raise SchemaError(f"attribute {self.name!r}: {what} must be numbers")
+        out = tuple(map(float, values))
+        if not all(map(math.isfinite, out)):
+            raise SchemaError(f"attribute {self.name!r}: {what} must be finite")
+        return out
 
 
 def load_schema(path: str) -> list[AttributeSchema]:
@@ -90,16 +103,18 @@ def load_schema(path: str) -> list[AttributeSchema]:
             raise LoadError(f"{where} must be an object with a 'name' string and a 'kind'")
         if any(a.name == entry["name"] for a in attrs):
             raise LoadError(f"{where}: name {entry['name']!r} is declared twice")
+        if entry["kind"] not in KINDS:
+            raise LoadError(f"{where}: unknown kind {entry['kind']!r}")
+        key, field_name, allowed = _OWN_KEY[entry["kind"]]
+        if not allowed.issuperset(entry):
+            extra = ", ".join(map(repr, sorted(entry.keys() - allowed)))
+            raise LoadError(f"{where}: unexpected key(s) {extra}; "
+                            f"a {entry['kind']} attribute holds name, kind and {key}")
+        if key in entry and not isinstance(entry[key], list):
+            raise LoadError(f"{where}: {key!r} must be a list")
         try:
-            attrs.append(
-                AttributeSchema(
-                    name=entry["name"],
-                    kind=entry["kind"],
-                    levels=tuple(entry["levels"]) if entry.get("levels") else None,
-                    categories=tuple(entry["categories"]) if entry.get("categories") else None,
-                    value_range=tuple(entry["range"]) if entry.get("range") else None,
-                )
-            )
+            own = {field_name: tuple(entry[key])} if key in entry else {}
+            attrs.append(AttributeSchema(name=entry["name"], kind=entry["kind"], **own))
         except (SchemaError, TypeError, ValueError) as exc:
             raise LoadError(f"{where}: {exc}") from exc
     if not attrs:

@@ -66,6 +66,9 @@ class TestExplainCommand:
         assert record["precision"] >= 0.9
         assert (out / "explanation.rule.txt").read_text().strip() == record["rule"]
         assert (out / "explanation_trace.jsonl").exists()
+        # the ranges are [0, 1], so raw values are encoded values
+        query = np.loadtxt(data, delimiter=",", skiprows=1)[row, :2]
+        assert np.all(np.array(record["l"]) <= query) and np.all(query <= np.array(record["u"]))
 
     def test_infeasible_exit_code(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -517,6 +520,13 @@ class TestGlobalCommand:
         assert len(lines) == 1 + len(record["members"])
         coverages = [float(line.split(",")[1]) for line in lines[1:]]
         assert coverages == sorted(coverages)
+        # each member contains its anchor row; the ranges are [0, 1], so raw
+        # values are encoded values
+        X = np.loadtxt(data, delimiter=",", skiprows=1)[:, :2]
+        for k, member in zip(record["member_indices"], record["members"]):
+            anchor = X[record["anchor_set"][k]]
+            assert np.all(np.array(member["l"]) <= anchor)
+            assert np.all(anchor <= np.array(member["u"]))
 
     def test_plus_minus_one_labels(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -581,12 +591,11 @@ class TestFlags:
     """Each subcommand registers exactly the flags it reads."""
 
     @pytest.mark.parametrize("command, flags", [
-        ("explain", [("--max-attrs", "2"), ("--trace",), ("--no-containment-snap",)]),
+        ("explain", [("--max-attrs", "2"), ("--trace",)]),
         ("synth", [("--max-attrs", "2"), ("--seed", "3"), ("--trace",)]),
-        ("bounds-audit", [("--seed", "3"), ("--threads", "2"), ("--no-containment-snap",),
-                          ("--queries", "4")]),
+        ("bounds-audit", [("--seed", "3"), ("--queries", "4")]),
         ("global", [("--max-attrs", "2"), ("--seed", "3"), ("--threads", "2"),
-                    ("--no-containment-snap",), ("--anchors", "4")]),
+                    ("--anchors", "4")]),
     ])
     def test_flags_read_are_accepted(self, command, flags):
         argv = [command, *REQUIRED[command]]
@@ -603,6 +612,10 @@ class TestFlags:
         ("bounds-audit", ["--max-attrs", "2"]),
         ("bounds-audit", ["--trace"]),
         ("global", ["--trace"]),
+        ("explain", ["--no-containment-snap"]),
+        ("global", ["--no-containment-snap"]),
+        ("bounds-audit", ["--no-containment-snap"]),
+        ("bounds-audit", ["--threads", "2"]),
     ])
     def test_flags_not_read_exit_1(self, tmp_path, capsys, command, flag):
         code = run(command, *REQUIRED[command], *flag, "--out-dir", str(tmp_path / "o"))

@@ -14,7 +14,6 @@ from maire import (
     cov_exact,
     cov_hat,
     gamma,
-    membership_h,
     pre_exact_or_none,
     pre_hat,
 )
@@ -156,13 +155,13 @@ class TestMembership:
     def test_interior_point_value(self):
         b = BoxBounds(np.array([0.2]), np.array([0.8]))
         expected = ref_membership([0.2], [0.8], [0.5])
-        h = membership_h(b, np.array([0.5]))
+        h = cov_hat(b, np.array([0.5]))
         assert h == pytest.approx(expected, abs=1e-12)
         assert 0.9795 < h < 0.9805
 
     def test_exterior_point_small(self):
         b = BoxBounds(np.array([0.2]), np.array([0.8]))
-        h = membership_h(b, np.array([0.95]))
+        h = cov_hat(b, np.array([0.95]))
         assert h == pytest.approx(ref_membership([0.2], [0.8], [0.95]), abs=1e-12)
         assert h < 0.2
 
@@ -173,7 +172,7 @@ class TestMembership:
             l = rng.random(d) * 0.3
             u = 0.7 + rng.random(d) * 0.3
             x = l + 0.11 + (u - l - 0.22) * rng.random(d)
-            assert membership_h(BoxBounds(l, u), x) > 0.9
+            assert cov_hat(BoxBounds(l, u), x) > 0.9
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -181,8 +180,8 @@ class TestMembership:
         u = 0.6 + rng.random(6) * 0.4
         x = rng.random(6)
         perm = rng.permutation(6)
-        h1 = membership_h(BoxBounds(l, u), x)
-        h2 = membership_h(BoxBounds(l[perm], u[perm]), x[perm])
+        h1 = cov_hat(BoxBounds(l, u), x)
+        h2 = cov_hat(BoxBounds(l[perm], u[perm]), x[perm])
         assert h1 == pytest.approx(h2, abs=1e-14)
 
     @pytest.mark.parametrize("k,dim", [
@@ -198,7 +197,7 @@ class TestMembership:
             u = rng.uniform(0.6, 0.97, dim)
             b = BoxBounds(l, u)
             x_in = rng.uniform(l + 1e-9, u)
-            h = membership_h(b, x_in, k)
+            h = cov_hat(b, x_in, k)
             assert 1.0 - c <= h <= 1.0
             x_out = x_in.copy()
             j = int(rng.integers(dim))
@@ -206,7 +205,7 @@ class TestMembership:
                 x_out[j] = rng.uniform(u[j] + k.cl + 1e-9, 1.0)
             else:
                 x_out[j] = rng.uniform(0.0, l[j])
-            h = membership_h(b, x_out, k)
+            h = cov_hat(b, x_out, k)
             assert 0.0 <= h <= c
 
 
@@ -294,7 +293,7 @@ class TestMembershipValuesShape:
         X = rng.random((20, 3))
         b = BoxBounds(rng.random(3) * 0.4, 0.6 + rng.random(3) * 0.4)
         batch = BoxStats(X, DEFAULTS).forward(b.signed()[None], np.zeros((1, len(X)))).h[0]
-        singles = [membership_h(b, x) for x in X]
+        singles = [cov_hat(b, x) for x in X]
         np.testing.assert_allclose(batch, singles, atol=1e-14)
 
 
@@ -398,7 +397,7 @@ class TestBoxBounds:
         b = BoxBounds(np.array([0.8]), np.array([0.2]))
         assert b.area() == 0.0
         assert cov_exact(b, np.array([[0.5]])) == 0.0
-        assert membership_h(b, np.array([0.5])) < 0.1
+        assert cov_hat(b, np.array([0.5])) < 0.1
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

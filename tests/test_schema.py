@@ -168,6 +168,53 @@ class TestLoadSchema:
         with pytest.raises(LoadError, match=rf"{re.escape(path)}: attribute 0: .*'a'.*{message}"):
             load_schema(path)
 
+    @pytest.mark.parametrize("levels, message", [
+        ('[1, NaN]', "finite"),
+        ('[NaN, 1]', "finite"),
+        ('[1, 2, Infinity]', "finite"),
+        ('[-Infinity, 1]', "finite"),
+        ('[true, 2]', "must be numbers"),
+        ('[1, false]', "must be numbers"),
+        ('["2", "1"]', "strictly increasing"),
+    ], ids=["nan-last", "nan-first", "infinite-max", "infinite-min", "bool-first", "bool-last",
+            "strings-reversed"])
+    def test_bad_levels_are_named(self, tmp_path, levels, message):
+        """Ordered levels are checked as a range is: a bool or a non-finite
+        level fails at load, naming the file and the attribute, before the
+        levels are compared (NaN compares false, so it passed the order test)."""
+        text = '{"attributes": [{"name": "o", "kind": "ordered_discrete", "levels": %s}]}' % levels
+        path = write(tmp_path, "s.json", text)
+        with pytest.raises(LoadError, match=rf"{re.escape(path)}: attribute 0: .*'o'.*{message}"):
+            load_schema(path)
+
+    def test_numeric_string_levels_are_converted(self, tmp_path):
+        path = write(tmp_path, "s.json",
+                     '{"attributes": [{"name": "o", "kind": "ordered_discrete", "levels": ["1", "2"]}]}')
+        assert load_schema(path)[0].levels == (1.0, 2.0)
+
+    @pytest.mark.parametrize("entry, message", [
+        ('{"name": "a", "kind": "continuous", "rnage": [0, 1]}', "'rnage'"),
+        ('{"name": "a", "kind": "continuous", "levels": [1, 2]}', "'levels'"),
+        ('{"name": "a", "kind": "ordered_discrete", "levels": [1, 2], "range": [0, 5]}', "'range'"),
+        ('{"name": "a", "kind": "categorical", "categories": ["M"], "levels": [1]}', "'levels'"),
+        ('{"name": "a", "kind": "continuous", "range": [0, 1], "note": "x", "bins": 3}',
+         "'bins', 'note'"),
+        ('{"name": "a", "kind": "continuous", "range": []}', "range must be \\[min, max\\]"),
+        ('{"name": "a", "kind": "continuous", "range": [0, 1, 2]}', "range must be \\[min, max\\]"),
+        ('{"name": "a", "kind": "continuous", "range": "01"}', "'range' must be a list"),
+        ('{"name": "a", "kind": "continuous", "range": null}', "'range' must be a list"),
+        ('{"name": "a", "kind": "ordered_discrete", "levels": []}', "needs levels"),
+    ], ids=["misspelled", "levels-on-continuous", "range-on-ordered", "levels-on-categorical",
+            "two-unknown", "empty-range", "three-ends", "range-string", "range-null",
+            "empty-levels"])
+    def test_key_not_read_is_named(self, tmp_path, entry, message):
+        """An entry holds name, kind and its kind's own key; any other key, and
+        an own key that is present but empty or not a list, fails at load."""
+        path = write(tmp_path, "s.json", '{"attributes": [{"name": "b", "kind": "continuous"}, %s]}'
+                     % entry)
+        with pytest.raises(LoadError, match=rf"{re.escape(path)}: attribute 1: .*{message}"):
+            load_schema(path)
+
     def test_numeric_string_range_is_converted(self, tmp_path):
         path = write(tmp_path, "s.json",
                      '{"attributes": [{"name": "a", "kind": "continuous", "range": ["9", "10"]}]}')
