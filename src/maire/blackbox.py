@@ -62,9 +62,9 @@ def predict_batch(provider: PredictionProvider, points: np.ndarray) -> np.ndarra
 def _row_keys(points: np.ndarray):
     """The bytes of each row of (N, D) points, in order, read
     ``EXTERNAL_CHUNK_SIZE`` rows at a time, so a column-major table is never
-    copied whole."""
+    copied whole; adding 0.0 makes -0.0 the point 0.0 and keeps every other value."""
     for start in range(0, len(points), EXTERNAL_CHUNK_SIZE):
-        chunk = points[start:start + EXTERNAL_CHUNK_SIZE]
+        chunk = points[start:start + EXTERNAL_CHUNK_SIZE] + 0.0
         data, step = chunk.tobytes(), chunk[0].nbytes  # tobytes is row-major
         # each row's slice of the chunk's bytes; a zero-width row's is b""
         for k in range(0, len(data), step) if step else range(len(chunk)):
@@ -107,14 +107,12 @@ class StoredColumnProvider(PredictionProvider):
 class SyntheticShape:
     """Geometry of a synthetic positive-class region in [0, 1]^D.
 
-    kinds: ``rectangle`` (l, u per axis), ``circle`` (center, radius),
-    ``union_of_rectangles`` (list of (l, u) pairs), ``discrete_strip``
-    (one axis takes declared positions; a subset of them is positive).
+    kinds: ``circle`` (center, radius), ``union_of_rectangles`` (list of
+    (l, u) pairs; a rectangle is a union of one), ``discrete_strip`` (one
+    axis takes declared positions; a subset of them is positive).
     """
 
     kind: str
-    l: tuple[float, ...] | None = None
-    u: tuple[float, ...] | None = None
     center: tuple[float, ...] | None = None
     radius: float | None = None
     rectangles: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...] | None = None
@@ -134,14 +132,11 @@ class SyntheticShape:
             if not -width <= self.axis < width:
                 raise ValueError(f"discrete_strip shape reads column {self.axis}, "
                                  f"got points of width {width}")
-        elif self.kind in ("rectangle", "circle", "union_of_rectangles"):
-            dim = len(self.l if self.kind == "rectangle" else
-                      self.center if self.kind == "circle" else self.rectangles[0][0])
+        elif self.kind in ("circle", "union_of_rectangles"):
+            dim = len(self.center if self.kind == "circle" else self.rectangles[0][0])
             if width != dim:
                 raise ValueError(f"{self.kind} shape reads width {dim}, got points of width {width}")
-        if self.kind == "rectangle":
-            inside = ((X >= np.asarray(self.l)) & (X <= np.asarray(self.u))).all(axis=1)
-        elif self.kind == "circle":
+        if self.kind == "circle":
             inside = np.linalg.norm(X - np.asarray(self.center), axis=1) <= self.radius
         elif self.kind == "union_of_rectangles":
             inside = np.zeros(len(X), dtype=bool)

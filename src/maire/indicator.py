@@ -173,7 +173,7 @@ class BoxPass:
 
     h: np.ndarray          # (A, N) each row's soft membership
     h_sum: np.ndarray      # (A,) sums of soft memberships, floored at 1e-300
-    match_sum: np.ndarray  # (A,) soft memberships summed over label-matching rows
+    match_sum: np.ndarray  # (A,) soft memberships summed over label-matching rows, <= h_sum
     slope: np.ndarray      # (A, N) each row's dh/dt / 2D
     n_in: np.ndarray       # (A,) rows inside the box, exactly
     n_match: np.ndarray    # (A,) of those, rows whose label matches
@@ -295,11 +295,13 @@ class BoxStats:
         h, slope = _gamma_slope((self.d + rows) / (2.0 * self.d) - k.ch, k)
         slope *= 1.0 / (2.0 * self.d)
         n_in, n_match = in_box_counts(inside, match)
+        h_sum = np.maximum(h.sum(axis=1), 1e-300)  # h > 0 except at underflow-extreme c2
         return BoxPass(
             h=h,
-            h_sum=np.maximum(h.sum(axis=1), 1e-300),  # h > 0 except at underflow-extreme c2
-            # one BLAS dot per row, as for a single box
-            match_sum=(h[:, None, :] @ match[:, :, None])[:, 0, 0],
+            h_sum=h_sum,
+            # one BLAS dot per row, as for a single box, capped at h_sum: where
+            # every row matches, its rounding could lift soft precision past 1
+            match_sum=np.minimum((h[:, None, :] @ match[:, :, None])[:, 0, 0], h_sum),
             slope=slope,
             n_in=n_in,
             n_match=n_match,
@@ -346,7 +348,8 @@ def soft_measures(boxes: list[BoxBounds], points: np.ndarray, labels: np.ndarray
     """Soft coverage (row 0) and soft precision (row 1) of each box, (2, A).
 
     Soft precision weighs each point's agreement with the box's query label
-    (for binary labels, 1 - (f(x) - f(q))^2) by its soft membership. One
+    (for binary labels, 1 - (f(x) - f(q))^2) by its soft membership. Both
+    are the ascent's own: h_sum / N and match_sum / h_sum of the pass. One
     kernel serves every box, one box at a time, so memory stays at one
     box's worth of comparisons.
     """
@@ -354,10 +357,8 @@ def soft_measures(boxes: list[BoxBounds], points: np.ndarray, labels: np.ndarray
     labels = np.asarray(labels)
     out = np.empty((2, len(boxes)))
     for i, (b, query_label) in enumerate(zip(boxes, query_labels)):
-        match = (labels == query_label).astype(np.float64)
-        p = stats.forward(b.signed()[None], match[None])
-        out[0, i] = p.h[0].mean()
-        out[1, i] = (p.h[0] * match).sum() / p.h_sum[0]
+        p = stats.forward(b.signed()[None], (labels == query_label).astype(np.float64)[None])
+        out[:, i] = p.h_sum[0] / stats.n, p.match_sum[0] / p.h_sum[0]
     return out
 
 

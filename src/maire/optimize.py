@@ -89,8 +89,8 @@ class OptimizationTrace:
 # Boxes step together in blocks whose work arrays (above all the kernel's
 # dense (4w, A, N) buffer, and in the elimination the (A, attrs, N) outside
 # masks) fit in this many bytes. A larger block pays a block's fixed numpy
-# calls fewer times, but at 120 rows the gain flattens out past about 3 MiB
-# while resident memory keeps growing.
+# calls fewer times, but 120 anchors at 120 rows gain only down to about 3
+# blocks, which 2 MiB already gives; past that only resident memory grows.
 BLOCK_BYTES = 2 << 20
 # Iterations stepped between the passes that work out objectives and trace
 # values and rank iterates, at most (see ``_stretch``). The ranking keeps the
@@ -98,10 +98,10 @@ BLOCK_BYTES = 2 << 20
 STRETCH = 32
 
 
-def _gate(n_match: np.ndarray, n_in: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
-    """The precision gate: 0, 1 or 2 as exact precision is above, at or below
-    P. An empty box counts as precision 0, which forces the precision term on."""
-    return 1.0 + np.sign(cfg.precision_threshold - precision(n_in, n_match, empty=0.0))
+def _gate(pre: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
+    """The precision gate: 0, 1 or 2 as exact precision ``pre`` is above, at
+    or below P. An empty box's NaN counts as 0, forcing the precision term on."""
+    return 1.0 + np.sign(cfg.precision_threshold - np.fmax(pre, 0.0))
 
 
 def _containment(s: np.ndarray, qs: np.ndarray,
@@ -128,7 +128,7 @@ def _step(stats: BoxStats, s: np.ndarray, qs: np.ndarray, match: np.ndarray,
     so the gradient is exact everywhere off their jumps.
     """
     p = stats.forward(s, match)
-    beta = cfg.lambda1 * _gate(p.n_match, p.n_in, cfg) / p.h_sum
+    beta = cfg.lambda1 * _gate(precision(p.n_in, p.n_match), cfg) / p.h_sum
     alpha = 1.0 / stats.n - beta * (p.match_sum / p.h_sum)
     w = (match * beta[:, None] + alpha[:, None]) * p.slope
     return p, stats.backward(w) - cfg.lambda2 * (s > qs)
@@ -141,7 +141,7 @@ def _terms(h_sum, match_sum, n_in, n_match, violation, cfg: OptimizerConfig, n: 
     pre_hat = match_sum / h_sum
     cov = n_in / n
     pre = precision(n_in, n_match)
-    objective = cov_hat + cfg.lambda1 * pre_hat * _gate(n_match, n_in, cfg) - cfg.lambda2 * violation
+    objective = cov_hat + cfg.lambda1 * pre_hat * _gate(pre, cfg) - cfg.lambda2 * violation
     return objective, cov_hat, pre_hat, cov, pre, violation
 
 

@@ -40,7 +40,8 @@ class AttributeSchema:
 
     ``levels`` (strictly increasing) applies to ordered_discrete,
     ``categories`` (unique, non-empty) to categorical, and ``value_range``
-    to continuous; a missing range is fitted from the training table.
+    to continuous, and no other kind holds it; a missing range is fitted
+    from the training table.
     """
 
     name: str
@@ -52,6 +53,9 @@ class AttributeSchema:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SchemaError(f"attribute {self.name!r}: unknown kind {self.kind!r}")
+        for fld in ("levels", "categories", "value_range"):
+            if fld != _OWN_KEY[self.kind][1] and getattr(self, fld) is not None:
+                raise SchemaError(f"attribute {self.name!r}: a {self.kind} attribute holds no {fld}")
         if self.kind == "ordered_discrete":
             if not self.levels:
                 raise SchemaError(f"attribute {self.name!r}: ordered_discrete needs levels")

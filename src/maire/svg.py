@@ -35,8 +35,6 @@ def _rect(l0: float, l1: float, u0: float, u1: float, style: str) -> str:
 
 
 def _region_rects(shape: SyntheticShape) -> list[tuple[float, float, float, float]]:
-    if shape.kind == "rectangle":
-        return [(shape.l[0], shape.l[1], shape.u[0], shape.u[1])]
     if shape.kind == "union_of_rectangles":
         return [(lo[0], lo[1], hi[0], hi[1]) for lo, hi in shape.rectangles]
     if shape.kind == "discrete_strip":

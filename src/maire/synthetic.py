@@ -18,7 +18,7 @@ from .schema import AttributeSchema, EncodedSpace, RawTable, encode
 STRIP_LEVELS = tuple((i + 1) / 6 for i in range(5))
 
 SHAPES: dict[str, SyntheticShape] = {
-    "rect": SyntheticShape(kind="rectangle", l=(0.3, 0.3), u=(0.7, 0.7)),
+    "rect": SyntheticShape(kind="union_of_rectangles", rectangles=(((0.3, 0.3), (0.7, 0.7)),)),
     "circle": SyntheticShape(kind="circle", center=(0.5, 0.5), radius=0.25),
     # a small positive bar around the query and a large positive rectangle,
     # separated by a negative strip too wide for a feasible box to absorb

@@ -19,7 +19,7 @@ from maire import (
 )
 from maire.errors import ProviderError
 
-RECT = SyntheticShape(kind="rectangle", l=(0.3, 0.3), u=(0.7, 0.7))
+RECT = SyntheticShape(kind="union_of_rectangles", rectangles=(((0.3, 0.3), (0.7, 0.7)),))
 CIRCLE = SyntheticShape(kind="circle", center=(0.5, 0.5), radius=0.2)
 
 
@@ -40,9 +40,7 @@ class TestSyntheticOracles:
             got = predict_batch(SyntheticOracle(shape), grid)
             expected = np.zeros(len(grid), dtype=int)
             for i, (x, y) in enumerate(grid):
-                if shape.kind == "rectangle":
-                    expected[i] = int(shape.l[0] <= x <= shape.u[0] and shape.l[1] <= y <= shape.u[1])
-                elif shape.kind == "circle":
+                if shape.kind == "circle":
                     expected[i] = int(math.hypot(x - 0.5, y - 0.5) <= shape.radius)
                 else:
                     expected[i] = int(any(lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1]
@@ -56,7 +54,8 @@ class TestSyntheticOracles:
 
     @pytest.mark.parametrize("shape, width", [
         (RECT, 2), (CIRCLE, 2),
-        (SyntheticShape(kind="union_of_rectangles", rectangles=(((0.0, 0.0), (0.2, 0.2)),)), 2),
+        (SyntheticShape(kind="union_of_rectangles",
+                        rectangles=(((0.0, 0.0), (0.2, 0.2)), ((0.6, 0.6), (0.9, 0.8)))), 2),
     ])
     @pytest.mark.parametrize("got", [1, 3])
     def test_points_of_another_width_rejected(self, shape, width, got):
@@ -108,13 +107,19 @@ class TestStoredColumn:
         wide_labels = np.zeros(1600, dtype=int)
         wide_labels[1500] = 1
         # the second copy disagrees, or a third after two that agree, or the
-        # copies fall in different chunks of a column-major table
+        # copies fall in different chunks of a column-major table, or one
+        # copy writes 0.0 as -0.0
         for points, labels, first, second in ((X[:3], [0, 1, 1], 0, 2), (X, [0, 1, 0, 1], 0, 3),
-                                              (wide, wide_labels, 3, 1500)):
+                                              (wide, wide_labels, 3, 1500),
+                                              (np.array([[0.0, 1.0], [-0.0, 1.0]]), [0, 1], 0, 1)):
             with pytest.raises(ProviderError, match=f"rows {first} and {second} encode to the "
                                                     "same point but carry labels") as info:
                 StoredColumnProvider(points, np.array(labels))
             assert info.value.point_index == second
+
+    def test_negative_zero_row_is_found_by_zero(self):
+        provider = StoredColumnProvider(np.array([[-0.0, 0.1], [0.5, 0.5]]), np.array([3, 4]))
+        np.testing.assert_array_equal(predict_batch(provider, np.array([[0.0, 0.1]])), [3])
 
     def test_negative_labels_accepted(self):
         X = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.1]])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maire import ApproxConstants, BoxBounds, OptimizerConfig, cov_hat, gradient, objective, pre_hat
-from maire.indicator import LEVEL_LIMIT, BoxStats, in_box_counts, outside, soft_measures
+from maire.indicator import LEVEL_LIMIT, BoxStats, in_box_counts, outside, precision, soft_measures
 
 # the package exports a function of the same name
 optimize_module = importlib.import_module("maire.optimize")
@@ -173,7 +173,8 @@ def test_soft_measures_match_reference(table, mode, scaled):
 @given(tables(), st.lists(st.sampled_from(BOX_MODES), min_size=1, max_size=6), st.booleans())
 def test_soft_measures_of_many_boxes_equal_one_box_measures(table, modes, scaled):
     """One kernel over A boxes gives, bit for bit, what a kernel built for
-    each box gives: cov_hat, pre_hat and the soft-precision formula."""
+    each box gives: cov_hat, pre_hat and the ascent's h_sum / N and
+    match_sum / h_sum."""
     X, labels, rng = table
     k = ApproxConstants.for_dimension(X.shape[1]) if scaled else ApproxConstants()
     boxes = [BoxBounds(*draw_box(mode, X, rng)) for mode in modes]
@@ -181,11 +182,11 @@ def test_soft_measures_of_many_boxes_equal_one_box_measures(table, modes, scaled
     got = soft_measures(boxes, X, labels, query_labels, k)
     assert got.shape == (2, len(boxes))
     for i, (b, label) in enumerate(zip(boxes, query_labels)):
-        h = BoxStats(X, k).forward(b.signed()[None], np.zeros((1, len(X)))).h[0]
         match = (labels == label).astype(np.float64)
+        p = BoxStats(X, k).forward(b.signed()[None], match[None])
         assert got[0, i] == cov_hat(b, X, k)
         assert got[1, i] == pre_hat(b, X, labels, label, k)
-        assert got[1, i] == (h * match).sum() / max(float(h.sum()), 1e-300)
+        assert got[:, i].tolist() == [p.h_sum[0] / len(X), p.match_sum[0] / p.h_sum[0]]
 
 
 @st.composite
@@ -256,7 +257,7 @@ def two_row_gradient(stats, lu, qq, match, cfg):
     p = stats.forward(lu * side, match)
     g_h = stats.backward(p.slope) * side
     g_m = stats.backward(p.slope * match) * side
-    gate = optimize_module._gate(p.n_match, p.n_in, cfg)[:, None]
+    gate = optimize_module._gate(precision(p.n_in, p.n_match), cfg)[:, None]
     h_sum, match_sum = p.h_sum[:, None], p.match_sum[:, None]
     dpre = (h_sum * g_m - match_sum * g_h) / (h_sum * h_sum)
     past = (lu - qq) * side

@@ -18,9 +18,9 @@ from maire import (
     optimize,
     pre_hat,
 )
-from maire.indicator import BoxStats, pre_exact_or_none
+from maire.indicator import BoxStats, pre_exact_or_none, precision, soft_measures
 from maire.optimize import TRACE_COLUMNS, _gate
-from maire.synthetic import synthetic_dataset
+from maire.synthetic import DEFAULT_QUERIES, synthetic_dataset
 
 from test_schema import bench_tables
 
@@ -28,6 +28,7 @@ from test_schema import bench_tables
 optimize_module = importlib.import_module("maire.optimize")
 
 OBJECTIVE = TRACE_COLUMNS.index("objective")
+COV_HAT, PRE_HAT = TRACE_COLUMNS.index("cov_hat"), TRACE_COLUMNS.index("pre_hat")
 VIOLATION = TRACE_COLUMNS.index("violation")
 
 K = ApproxConstants()
@@ -123,7 +124,7 @@ class TestObjective:
         cfg = OptimizerConfig(precision_threshold=threshold)
         expected = [2.0 if n == 0 else 1.0 + np.sign(threshold - m / n)
                     for m, n in zip(n_match, n_in)]
-        assert _gate(n_match, n_in, cfg).tolist() == expected
+        assert _gate(precision(n_in, n_match), cfg).tolist() == expected
 
 
 class TestGradient:
@@ -247,6 +248,19 @@ class TestOptimize:
         assert trace.feasible
         assert np.abs(box.l - 0.3).max() < 0.05
         assert np.abs(box.u - 0.7).max() < 0.05
+
+    def test_trace_reads_the_soft_measures_of_the_box_returned(self):
+        # without the snap the box returned is the best iterate itself, so
+        # its soft coverage and precision are the trace's, bit for bit
+        _, space, labels = synthetic_dataset("rect", 3000, 1)
+        X, q = space.matrix, np.array(DEFAULT_QUERIES["rect"])
+        cfg = OptimizerConfig(max_iters=300, containment_snap=False)
+        box, trace = optimize(initial_bounds(q), q, X, labels, 1, cfg)
+        assert trace.best_iteration >= 1  # row t - 1 holds iteration t
+        row = trace.values[trace.best_iteration - 1]
+        assert row[COV_HAT] == cov_hat(box, X)
+        assert row[PRE_HAT] == pre_hat(box, X, labels, 1)
+        assert soft_measures([box], X, labels, [1])[:, 0].tolist() == [row[COV_HAT], row[PRE_HAT]]
 
     def test_containment_from_penalty_alone(self):
         shape, space, labels = synthetic_dataset("two-region", 2000, seed=0)

@@ -2,6 +2,7 @@
 
 import functools
 import importlib.util
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -229,6 +230,18 @@ class TestLoadSchema:
             AttributeSchema(name="x", kind="categorical", categories=("A", ""))
         with pytest.raises(SchemaError):
             AttributeSchema(name="x", kind="interval")
+
+    @pytest.mark.parametrize("name, kind, fields, extra", [
+        ("a", "continuous", {"levels": (1, math.nan), "categories": ("x",)}, "levels"),
+        ("a", "continuous", {"categories": ("x",)}, "categories"),
+        ("b", "ordered_discrete", {"levels": (1, 2), "value_range": (0, 5)}, "value_range"),
+        ("c", "categorical", {"categories": ("x", "y"), "value_range": (5, 0)}, "value_range"),
+        ("c", "categorical", {"categories": ("x", "y"), "levels": (1, 2)}, "levels"),
+    ])
+    def test_kind_holds_only_its_own_field(self, name, kind, fields, extra):
+        with pytest.raises(SchemaError, match=rf"attribute '{name}': a {kind} attribute "
+                                              rf"holds no {extra}$"):
+            AttributeSchema(name=name, kind=kind, **fields)
 
 
 @pytest.mark.parametrize("load, text, what", [
