@@ -25,7 +25,6 @@ from .explain import Explanation, explain, explain_encoded, explain_many
 from .global_explain import GlobalExplanation, global_predict, msd_select, rp_select
 from .indicator import (
     ApproxConstants,
-    BoundsAudit,
     BoxBounds,
     audit_bounds,
     cov_exact,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxConstants",
     "AttributeSchema",
-    "BoundsAudit",
     "BoxBounds",
     "EncodedSpace",
     "Explanation",

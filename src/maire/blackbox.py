@@ -47,16 +47,27 @@ def predict_batch(provider: PredictionProvider, points: np.ndarray) -> np.ndarra
     if labels.shape != (X.shape[0],):
         raise ProviderError(
             f"provider returned {labels.shape} labels for {X.shape[0]} points")
-    if not np.issubdtype(labels.dtype, np.integer):
+    return _int_labels(labels, "provider returned")
+
+
+def _int_labels(labels: np.ndarray, source: str) -> np.ndarray:
+    """``labels`` as int64: integers or floats that hold integers, each
+    within the int64 range; anything else is a ProviderError whose message
+    begins with ``source``."""
+    if labels.dtype.kind in "iu":
+        # a uint64 above the int64 range would wrap in the cast
+        if labels.dtype.kind == "i" or labels.max(initial=0) < 2**63:
+            return labels.astype(np.int64)
+        raise ProviderError(f"{source} out-of-range labels")
+    if labels.dtype.kind == "f":
         # a float an int64 cannot hold (NaN, infinite or too large) is
         # rejected before the cast, which would only warn
-        if labels.dtype.kind == "f" and not np.all((labels >= -2.0**63) & (labels < 2.0**63)):
-            raise ProviderError("provider returned non-integer or out-of-range labels")
+        if not np.all((labels >= -2.0**63) & (labels < 2.0**63)):
+            raise ProviderError(f"{source} non-integer or out-of-range labels")
         as_int = labels.astype(np.int64)
-        if not np.array_equal(as_int, labels):
-            raise ProviderError("provider returned non-integer labels")
-        labels = as_int
-    return labels.astype(np.int64)
+        if np.array_equal(as_int, labels):
+            return as_int
+    raise ProviderError(f"{source} non-integer labels")
 
 
 def _row_keys(points: np.ndarray):
@@ -76,7 +87,7 @@ class StoredColumnProvider(PredictionProvider):
 
     def __init__(self, points: np.ndarray, labels: np.ndarray):
         X = np.asarray(points, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _int_labels(np.asarray(labels), "label column holds")
         if len(labels) != len(X):
             raise ProviderError(
                 f"label column has {len(labels)} entries for {len(X)} rows")

@@ -297,8 +297,7 @@ def cmd_bounds_audit(args, cfg: OptimizerConfig) -> int:
         "queries": int(len(picks)),
         "mse_coverage": float(np.mean((cov - cov_hat) ** 2)),
         "mse_precision": float(np.mean(pre_gaps)) if pre_gaps.size else None,
-        "audit": audit_bounds(cov, pre, cov_hat, pre_hat, space.matrix.shape[1],
-                              constants).to_dict(),
+        "audit": audit_bounds(cov, pre, cov_hat, pre_hat, space.matrix.shape[1], constants),
     }
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

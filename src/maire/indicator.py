@@ -378,47 +378,11 @@ def pre_hat(b: BoxBounds, points: np.ndarray, labels: np.ndarray, query_label: i
 # bound audits
 
 
-@dataclass
-class BoundCheck:
-    """Outcome of one inequality audit over a collection of boxes."""
-
-    hypothesis_met: bool
-    checked: int
-    violations: int
-    max_violation: float
-
-
-def _check(hypothesis_met: bool, violation: np.ndarray) -> BoundCheck:
+def _check(hypothesis_met: bool, violation: np.ndarray) -> dict:
     """Count the positive entries of ``violation``, one per checked box."""
     over = violation[violation > 0.0]
-    return BoundCheck(hypothesis_met, int(violation.size), int(over.size),
-                      float(over.max(initial=0.0)))
-
-
-@dataclass
-class BoundsAudit:
-    """Audit of the provable envelopes tying soft measures to exact ones.
-
-    coverage_envelope: ((4D-1)/4D) * Cov <= CovHat <= 1/4D + ((4D-1)/4D) * Cov,
-    guaranteed when c1 < 1/(2D) and ch > (4D-1)/(4D).
-    precision_cap: PreHat <= Pre * (1 + (1/Cov) * (4D/(4D-1))), reported
-    informationally (skipped when Cov = 0 or Pre is undefined).
-    When a hypothesis is unmet the inequality is still evaluated but only
-    reported, never asserted.
-    """
-
-    dim: int
-    constants: ApproxConstants
-    coverage_envelope: BoundCheck
-    precision_cap: BoundCheck
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "constants": asdict(self.constants),
-            "coverage_envelope": asdict(self.coverage_envelope),
-            "precision_cap": asdict(self.precision_cap),
-        }
+    return {"hypothesis_met": hypothesis_met, "checked": int(violation.size),
+            "violations": int(over.size), "max_violation": float(over.max(initial=0.0))}
 
 
 def coverage_hypothesis_met(dim: int, k: ApproxConstants) -> bool:
@@ -426,15 +390,27 @@ def coverage_hypothesis_met(dim: int, k: ApproxConstants) -> bool:
 
 
 def audit_bounds(cov: np.ndarray, pre: np.ndarray, cov_hat: np.ndarray, pre_hat: np.ndarray,
-                 dim: int, k: ApproxConstants = ApproxConstants()) -> BoundsAudit:
-    """Check the coverage envelope and the precision cap on A boxes in ``dim``
-    dimensions, given each box's exact coverage and precision (``pre`` NaN
-    where the box is empty) and their soft counterparts, all (A,) arrays."""
+                 dim: int, k: ApproxConstants = ApproxConstants()) -> dict:
+    """Audit the provable envelopes tying soft measures to exact ones on A
+    boxes in ``dim`` dimensions, given each box's exact coverage and
+    precision (``pre`` NaN where the box is empty) and their soft
+    counterparts, all (A,) arrays.
+
+    coverage_envelope: ((4D-1)/4D) * Cov <= CovHat <= 1/4D + ((4D-1)/4D) * Cov,
+    guaranteed when c1 < 1/(2D) and ch > (4D-1)/(4D).
+    precision_cap: PreHat <= Pre * (1 + (1/Cov) * (4D/(4D-1))), reported
+    informationally (skipped when Cov = 0 or Pre is undefined).
+    When a hypothesis is unmet the inequality is still evaluated but only
+    reported, never asserted. Returns the report ``bounds_audit.json`` holds
+    under "audit": ``dim``, ``constants`` and, for each inequality,
+    ``hypothesis_met``, ``checked``, ``violations`` and ``max_violation``.
+    """
     scale = (4.0 * dim - 1.0) / (4.0 * dim)
     lower = scale * cov
     upper = 1.0 / (4.0 * dim) + scale * cov
     hyp = coverage_hypothesis_met(dim, k)
     capped = cov > 0.0  # an empty box has no precision to cap
     cap = pre[capped] * (1.0 + (1.0 / cov[capped]) * (4.0 * dim / (4.0 * dim - 1.0)))
-    return BoundsAudit(dim, k, _check(hyp, np.maximum(lower - cov_hat, cov_hat - upper)),
-                       _check(hyp, pre_hat[capped] - cap))
+    return {"dim": dim, "constants": asdict(k),
+            "coverage_envelope": _check(hyp, np.maximum(lower - cov_hat, cov_hat - upper)),
+            "precision_cap": _check(hyp, pre_hat[capped] - cap)}

@@ -408,8 +408,22 @@ class EncodedSpace:
 
 
 def encode(table: RawTable, schema: list[AttributeSchema] | None = None) -> EncodedSpace:
-    """Build the encoded space from a raw table, fitting continuous ranges."""
+    """Build the encoded space from a raw table, fitting continuous ranges.
+
+    ``schema``, when given, must name the table's attributes in the table's
+    order, and the table must hold one column of equal length for each;
+    else a SchemaError names the attribute.
+    """
     attrs = list(schema) if schema is not None else list(table.attributes)
+    names, own = [a.name for a in attrs], [a.name for a in table.attributes]
+    if names != own:
+        raise SchemaError(f"schema attributes {names} are not the table's {own}")
+    if not attrs or len(table.columns) != len(attrs):
+        raise SchemaError(f"table has {len(table.columns)} column(s) for attributes {names}")
+    for name, column in zip(names, table.columns):
+        if len(column) != table.n_rows:
+            raise SchemaError(f"column {name!r} has {len(column)} values, "
+                              f"but column {names[0]!r} has {table.n_rows}")
     widths = [_width(attr) for attr in attrs]
     attr_of = np.repeat(np.arange(len(attrs), dtype=np.intp), widths)
     # each attribute's block is written in place, into its columns

@@ -100,6 +100,19 @@ class TestStoredColumn:
         with pytest.raises(ProviderError):
             StoredColumnProvider(np.zeros((3, 2)), np.zeros(2, dtype=int))
 
+    @pytest.mark.parametrize("labels, message", [
+        ([0.5, 1.7], "label column holds non-integer labels"),
+        ([0.0, math.nan], "label column holds non-integer or out-of-range labels"),
+        ([True, False], "label column holds non-integer labels"),
+        (np.array([0, 2**63], dtype=np.uint64), "label column holds out-of-range labels")])
+    def test_labels_are_checked_not_cast(self, labels, message):
+        with pytest.raises(ProviderError, match=message):
+            StoredColumnProvider(np.array([[0.1], [0.2]]), labels)
+
+    def test_integral_float_labels_are_stored_as_integers(self):
+        provider = StoredColumnProvider(np.array([[0.1], [0.2]]), [1.0, -(2.0**63)])
+        assert provider.predict(np.array([[0.2], [0.1]])).tolist() == [-(2**63), 1]
+
     def test_conflicting_duplicate_rows_rejected(self):
         X = np.array([[0.1, 0.2], [0.5, 0.5], [0.1, 0.2], [0.1, 0.2]])
         wide = np.asfortranarray(np.random.default_rng(0).random((1600, 2)))
@@ -298,6 +311,14 @@ class TestPredictBatch:
                 return np.full(len(points), label)
 
         with pytest.raises(ProviderError, match="non-integer or out-of-range"):
+            predict_batch(Library(), np.zeros((1, 2)))
+
+    def test_fractional_float_labels_are_rejected(self):
+        class Library:
+            def predict(self, points):
+                return np.array([0.5])
+
+        with pytest.raises(ProviderError, match="provider returned non-integer labels"):
             predict_batch(Library(), np.zeros((1, 2)))
 
     def test_integral_float_labels_pass(self):

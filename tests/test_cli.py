@@ -108,6 +108,16 @@ class TestExplainCommand:
         assert code == 1
         assert "bad.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--data", "--schema"])
+    def test_oracle_without_data_or_schema_exits_1(self, tmp_path, tabular, capsys, flag):
+        data, schema, _, plain = tabular
+        given = {"--data": plain, "--schema": schema}
+        del given[flag]
+        code = run("explain", *[v for item in given.items() for v in item], "--oracle", "rect",
+                   "--query-row", "0", "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert "--data and --schema are required" in capsys.readouterr().err
+
     def test_query_json_with_oracle(self, tmp_path, tabular):
         data, schema, _, plain = tabular
         code = run("explain", "--data", plain, "--schema", schema, "--oracle", "rect",

@@ -466,6 +466,11 @@ class TestRender:
         assert RuleClause("g", "ordered_interval", lo=2.0, hi=4.0).text() == "2.00 ≤ g ≤ 4.00"
         assert RuleClause("g", "ordered_interval", lo=2.0, hi=2.0).text() == "g = 2.00"
 
+    def test_equality_record(self):
+        from maire.schema import RuleClause
+        assert RuleClause("Sex", "equality", category="F").to_dict() == {
+            "attribute": "Sex", "form": "equality", "text": "Sex = F", "category": "F"}
+
     def test_category_set_text_record_and_satisfaction(self):
         from maire.schema import RuleClause
         clause = RuleClause("region", "category_set", categories=("north", "east"))

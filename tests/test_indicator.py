@@ -1,5 +1,6 @@
 """Soft indicator, exact measures, and bound audits."""
 
+import json
 import math
 from decimal import Decimal, localcontext
 
@@ -335,9 +336,9 @@ class TestAudit:
             b = BoxBounds(np.minimum(a, c), np.maximum(a, c))
             rows.append(measures(b, X, labels, 1))
         report = audit_bounds(*np.array(rows).T, 1, DEFAULTS)
-        assert report.coverage_envelope.hypothesis_met
-        assert report.coverage_envelope.violations == 0
-        assert report.coverage_envelope.checked == 100
+        assert report["coverage_envelope"]["hypothesis_met"]
+        assert report["coverage_envelope"]["violations"] == 0
+        assert report["coverage_envelope"]["checked"] == 100
 
     def test_hypothesis_unmet_reported_not_asserted(self):
         rng = np.random.default_rng(8)
@@ -345,21 +346,21 @@ class TestAudit:
         labels = rng.integers(0, 2, 100)
         b = BoxBounds(np.full(8, 0.1), np.full(8, 0.9))
         report = audit_bounds(*np.array([measures(b, X, labels, 1)]).T, 8, DEFAULTS)
-        assert not report.coverage_envelope.hypothesis_met  # c1=0.4 >= 1/16
-        assert report.coverage_envelope.checked == 1
+        assert not report["coverage_envelope"]["hypothesis_met"]  # c1=0.4 >= 1/16
+        assert report["coverage_envelope"]["checked"] == 1
 
     def test_empty_box_skips_precision_cap(self):
         X = np.array([[0.1], [0.9]])
         b = BoxBounds(np.array([0.4]), np.array([0.4]))
         report = audit_bounds(*np.array([measures(b, X, np.array([0, 1]), 1)]).T, 1, DEFAULTS)
-        assert report.precision_cap.checked == 0
+        assert report["precision_cap"]["checked"] == 0
 
     def test_report_serializes(self):
         X = np.random.default_rng(0).random((50, 2))
         b = BoxBounds(np.array([0.2, 0.2]), np.array([0.8, 0.8]))
         report = audit_bounds(*np.array([measures(b, X, np.zeros(50, dtype=int), 0)]).T,
                               2, DEFAULTS)
-        d = report.to_dict()
+        d = json.loads(json.dumps(report, allow_nan=False))
         assert d["dim"] == 2
         assert "coverage_envelope" in d and "precision_cap" in d
 
@@ -376,19 +377,19 @@ class TestAudit:
         report = audit_bounds(cov, pre, ch, ph, d, DEFAULTS)
         loop = audit_one_at_a_time(cov, pre, ch, ph, d)
         for name in ("coverage_envelope", "precision_cap"):
-            check = getattr(report, name)
-            assert [check.checked, check.violations, check.max_violation] == loop[name]
-        assert report.precision_cap.checked == int((cov > 0.0).sum())
+            check = report[name]
+            assert [check["checked"], check["violations"], check["max_violation"]] == loop[name]
+        assert report["precision_cap"]["checked"] == int((cov > 0.0).sum())
 
     def test_nothing_violated_reads_zero(self):
         cov, pre = np.array([0.0, 0.5]), np.array([np.nan, 1.0])
         ch, ph = np.array([0.1, 0.5]), np.array([0.3, 0.9])
         report = audit_bounds(cov, pre, ch, ph, 1, DEFAULTS)
-        envelope, cap = report.coverage_envelope, report.precision_cap
-        assert (envelope.checked, envelope.violations, envelope.max_violation) == (2, 0, 0.0)
+        envelope, cap = report["coverage_envelope"], report["precision_cap"]
+        assert (envelope["checked"], envelope["violations"], envelope["max_violation"]) == (2, 0, 0.0)
         # the empty box is skipped by the cap
-        assert (cap.checked, cap.violations, cap.max_violation) == (1, 0, 0.0)
-        assert isinstance(cap.max_violation, float)
+        assert (cap["checked"], cap["violations"], cap["max_violation"]) == (1, 0, 0.0)
+        assert isinstance(cap["max_violation"], float)
         assert audit_one_at_a_time(cov, pre, ch, ph, 1)["precision_cap"] == [1, 0, 0.0]
 
 

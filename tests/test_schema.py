@@ -12,11 +12,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from maire import AttributeSchema, BoxBounds, cov_exact, decode_bounds, encode, load_schema, load_table, snap_discrete
-from maire import OptimizerConfig
+from maire import OptimizerConfig, SyntheticOracle, explain
 from maire.errors import InconsistentExplanationError, LoadError, SchemaError
 from maire.explain import explain_many
 from maire.indicator import inside_mask, pre_exact_or_none
 from maire.schema import RawTable, nontrivial_attributes
+from maire.synthetic import SHAPES
 
 
 @pytest.fixture
@@ -107,6 +108,21 @@ class TestLoadTable:
         with pytest.raises(LoadError, match=r"header row names column\(s\) \['Age'\] more than once"):
             load_table(path, people_schema)
 
+    def test_unreadable_path_names_the_table(self, tmp_path, people_schema):
+        # a directory opens for no reading
+        with pytest.raises(LoadError, match=rf"cannot read table {re.escape(str(tmp_path))}"):
+            load_table(str(tmp_path), people_schema)
+
+    def test_undeclared_header_column_is_named(self, tmp_path, people_schema):
+        path = write(tmp_path, "t.csv", "Age,Sex,Zip\n17,M,1000\n")
+        with pytest.raises(LoadError, match=r"t\.csv: unexpected column\(s\) \['Zip'\]"):
+            load_table(path, people_schema)
+
+    def test_row_with_wrong_cell_count_is_named(self, tmp_path, people_schema):
+        path = write(tmp_path, "t.csv", "Age,Sex\n17,M\n30\n")
+        with pytest.raises(LoadError, match=r"t\.csv: row 1 has 1 cells, expected 2"):
+            load_table(path, people_schema)
+
     def test_ordered_level_membership_enforced(self, tmp_path):
         schema = [AttributeSchema(name="Rooms", kind="ordered_discrete", levels=(1, 2, 3))]
         path = write(tmp_path, "t.csv", "Rooms\n2\n5\n")
@@ -128,6 +144,14 @@ class TestLoadSchema:
     def test_byte_order_mark(self, tmp_path):
         path = write(tmp_path, "s.json", '\ufeff{"attributes": [{"name": "Age", "kind": "continuous"}]}')
         assert [a.name for a in load_schema(path)] == ["Age"]
+
+    def test_file_that_is_not_json_is_named(self, tmp_path):
+        with pytest.raises(LoadError, match=r"schema file .*s\.json is not valid JSON"):
+            load_schema(write(tmp_path, "s.json", "attributes: []"))
+
+    def test_file_declaring_no_attributes_is_named(self, tmp_path):
+        with pytest.raises(LoadError, match=r"schema file .*s\.json declares no attributes"):
+            load_schema(write(tmp_path, "s.json", '{"attributes": []}'))
 
     def test_missing_file(self):
         with pytest.raises(LoadError, match="nope.json"):
@@ -414,6 +438,42 @@ class TestEncode:
         space = encode(RawTable(schema, [np.array([1.0, near, 3.0])]))
         assert space.matrix[1, 0] == space.encode_instance([near])[0] == 2 / 4
 
+    @staticmethod
+    def age_income():
+        age = AttributeSchema(name="age", kind="continuous")
+        income = AttributeSchema(name="income", kind="continuous")
+        return age, income, RawTable([age, income], [np.array([20.0, 30.0, 40.0]),
+                                                     np.array([1.0, 2.0, 3.0])])
+
+    def test_schema_must_name_the_tables_attributes_in_order(self):
+        age, income, table = self.age_income()
+        assert encode(table, [age, income]).normalizers == {0: (20.0, 40.0), 1: (1.0, 3.0)}
+        # reordered, age's range would be fitted under income; shortened,
+        # income would be dropped
+        for schema in ([income, age], [age]):
+            with pytest.raises(SchemaError, match="'income'"):
+                encode(table, schema)
+
+    def test_explain_checks_the_schema(self):
+        age, income, table = self.age_income()
+        with pytest.raises(SchemaError, match="'income'"):
+            explain([30.0], table, SyntheticOracle(SHAPES["rect"]), [age])
+
+    def test_attribute_without_a_column_is_named(self):
+        age, income, _ = self.age_income()
+        with pytest.raises(SchemaError, match="1 column.*'income'"):
+            encode(RawTable([age, income], [np.array([20.0, 30.0, 40.0])]))
+
+    def test_table_without_attributes_is_rejected(self):
+        with pytest.raises(SchemaError, match=r"0 column\(s\) for attributes \[\]"):
+            encode(RawTable([], []))
+
+    def test_column_of_another_length_is_named(self):
+        age, income, _ = self.age_income()
+        table = RawTable([age, income], [np.array([20.0, 30.0, 40.0]), np.array([1.0, 2.0])])
+        with pytest.raises(SchemaError, match="column 'income' has 2 values, but column 'age' has 3"):
+            encode(table)
+
     def test_clamp_warning_is_single_line_record(self, caplog):
         import logging
 
@@ -535,6 +595,14 @@ class TestDecodeBounds:
         l = np.array([0.0, 0.0, 0.0, 0.0])
         u = np.array([1.0, 1.0, 0.4, 0.4])  # both one-hot columns exclude 1
         with pytest.raises(InconsistentExplanationError, match="Sex"):
+            decode_bounds(l, u, space)
+
+    def test_ordered_bounds_between_two_levels_raise(self):
+        space = self.make_space()
+        # Grade's levels sit at 1/6, 2/6, ..., 5/6: none lies in [0.35, 0.45]
+        l = np.array([0.0, 0.35, 0.0, 0.0])
+        u = np.array([1.0, 0.45, 1.0, 1.0])
+        with pytest.raises(InconsistentExplanationError, match="'Grade'.*no declared level"):
             decode_bounds(l, u, space)
 
     def test_interval_in_raw_units(self):
