@@ -40,20 +40,24 @@ class PredictionProvider:
 
 def predict_batch(provider: PredictionProvider, points: np.ndarray) -> np.ndarray:
     """Label a batch, validating shape in and labels out."""
+    X = _batch(points)
+    return _int_labels(np.asarray(provider.predict(X)), len(X), "provider returned")
+
+
+def _batch(points) -> np.ndarray:
+    """``points`` as a float (N, D) batch; any other shape is a ProviderError."""
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2:
         raise ProviderError(f"points must be a 2-D batch, got shape {X.shape}")
-    labels = np.asarray(provider.predict(X))
-    if labels.shape != (X.shape[0],):
-        raise ProviderError(
-            f"provider returned {labels.shape} labels for {X.shape[0]} points")
-    return _int_labels(labels, "provider returned")
+    return X
 
 
-def _int_labels(labels: np.ndarray, source: str) -> np.ndarray:
-    """``labels`` as int64: integers or floats that hold integers, each
-    within the int64 range; anything else is a ProviderError whose message
-    begins with ``source``."""
+def _int_labels(labels: np.ndarray, n: int, source: str) -> np.ndarray:
+    """``labels`` as int64: one per point of an ``n``-point batch, each an
+    integer or a float that holds one, within the int64 range; anything else
+    is a ProviderError whose message begins with ``source``."""
+    if labels.shape != (n,):
+        raise ProviderError(f"{source} {labels.shape} labels for {n} points")
     if labels.dtype.kind in "iu":
         # a uint64 above the int64 range would wrap in the cast
         if labels.dtype.kind == "i" or labels.max(initial=0) < 2**63:
@@ -86,12 +90,8 @@ class StoredColumnProvider(PredictionProvider):
     """Labels for the rows of a known dataset, matched by row identity."""
 
     def __init__(self, points: np.ndarray, labels: np.ndarray):
-        X = np.asarray(points, dtype=np.float64)
-        labels = _int_labels(np.asarray(labels), "label column holds")
-        if len(labels) != len(X):
-            raise ProviderError(
-                f"label column has {len(labels)} entries for {len(X)} rows")
-        self._labels = labels
+        X = _batch(points)
+        self._labels = labels = _int_labels(np.asarray(labels), len(X), "label column holds")
         self._index = {}
         for i, key in enumerate(_row_keys(X)):
             first = self._index.setdefault(key, i)
@@ -102,7 +102,7 @@ class StoredColumnProvider(PredictionProvider):
                     f"{labels[first]} and {labels[i]}", point_index=i)
 
     def predict(self, points: np.ndarray) -> np.ndarray:
-        X = np.asarray(points, dtype=np.float64)
+        X = _batch(points)
         out = np.empty(len(X), dtype=np.int64)
         for i, key in enumerate(_row_keys(X)):
             idx = self._index.get(key)
@@ -251,7 +251,7 @@ class ExternalCommandProvider(PredictionProvider):
         return line
 
     def predict(self, points: np.ndarray) -> np.ndarray:
-        X = np.asarray(points, dtype=np.float64)
+        X = _batch(points)
         self._ensure_child()
         try:
             return self._request(X)

@@ -225,7 +225,10 @@ def _explain_anchors(args, cfg: OptimizerConfig, count: int, **options) -> tuple
     return space, labels, anchors, expls
 
 
-def _write_explanation(expl: Explanation, out_dir: Path, stem: str, trace: bool) -> None:
+def _write_explanation(expl: Explanation, out_dir: Path, stem: str, trace: bool) -> int:
+    """Write ``stem``.json, ``stem``.rule.txt and, with ``trace``, the trace
+    JSONL into ``out_dir``, made if missing, and print the rule; the exit code
+    the explanation's feasibility gives."""
     out_dir.mkdir(parents=True, exist_ok=True)
     record = expl.to_record()
     if trace and expl.trace is not None:
@@ -236,6 +239,7 @@ def _write_explanation(expl: Explanation, out_dir: Path, stem: str, trace: bool)
         json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
     (out_dir / f"{stem}.rule.txt").write_text(expl.rule_text() + "\n", encoding="utf-8")
     print(expl.rule_text())
+    return EXIT_OK if expl.feasible else EXIT_INFEASIBLE
 
 
 def cmd_explain(args, cfg: OptimizerConfig) -> int:
@@ -258,8 +262,7 @@ def cmd_explain(args, cfg: OptimizerConfig) -> int:
                           else predict_batch(provider, q[None, :])[0])
     expl = explain_encoded(q, space, labels, query_label, cfg,
                            max_attrs=args.max_attrs, query_raw=query_raw)
-    _write_explanation(expl, Path(args.out_dir), "explanation", args.trace)
-    return EXIT_OK if expl.feasible else EXIT_INFEASIBLE
+    return _write_explanation(expl, Path(args.out_dir), "explanation", args.trace)
 
 
 def cmd_synth(args, cfg: OptimizerConfig) -> int:
@@ -278,11 +281,10 @@ def cmd_synth(args, cfg: OptimizerConfig) -> int:
     expl = explain_encoded(q, space, labels, query_label, cfg,
                            max_attrs=args.max_attrs, query_raw=[float(v) for v in q])
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    code = _write_explanation(expl, out_dir, args.shape, args.trace)
     (out_dir / f"{args.shape}.svg").write_text(render_figure(shape, expl.bounds, q),
                                                encoding="utf-8")
-    _write_explanation(expl, out_dir, args.shape, args.trace)
-    return EXIT_OK if expl.feasible else EXIT_INFEASIBLE
+    return code
 
 
 def cmd_bounds_audit(args, cfg: OptimizerConfig) -> int:

@@ -69,8 +69,9 @@ class ApproxConstants:
 class BoxBounds:
     """Lower/upper bound vectors of an axis-aligned box in [0, 1]^D.
 
-    ``l <= u`` is not required: an inverted pair is a legal optimizer state
-    that simply admits nothing and has near-zero soft membership.
+    Every bound, lower and upper, is a number in [0, 1]. ``l <= u`` is not
+    required: an inverted pair is a legal optimizer state that simply admits
+    nothing and has near-zero soft membership.
     """
 
     l: np.ndarray
@@ -81,7 +82,8 @@ class BoxBounds:
         u = np.asarray(self.u, dtype=np.float64)
         if l.ndim != 1 or u.ndim != 1 or l.shape != u.shape:
             raise ValueError("l and u must be 1-D vectors of equal length")
-        if l.min(initial=0.0) < -1e-12 or u.max(initial=1.0) > 1.0 + 1e-12:
+        # a NaN compares false, so it fails the test too
+        if not ((l >= -1e-12) & (l <= 1.0 + 1e-12) & (u >= -1e-12) & (u <= 1.0 + 1e-12)).all():
             raise ValueError("bounds must lie in [0, 1]")
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "u", u)

@@ -44,8 +44,10 @@ class OptimizerConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.precision_threshold <= 1.0:
             raise ValueError("precision_threshold must lie in (0, 1]")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        # a bool is an int to Python, and a float would fail later in np.empty
+        if (not isinstance(self.max_iters, (int, np.integer)) or isinstance(self.max_iters, bool)
+                or self.max_iters < 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.lambda1 < 0.0 or self.lambda2 < 0.0:
             raise ValueError("lambda1 and lambda2 must be >= 0")
 
@@ -145,11 +147,22 @@ def _terms(h_sum, match_sum, n_in, n_match, violation, cfg: OptimizerConfig, n: 
     return objective, cov_hat, pre_hat, cov, pre, violation
 
 
+def _queries(queries, stats: BoxStats, ndim: int) -> np.ndarray:
+    """``queries`` as floats, ``ndim``-D and each of the table's width; else a
+    ValueError naming both shapes."""
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != ndim or q.shape[-1] != stats.d:
+        raise ValueError(f"queries of shape {q.shape} do not fit a table of shape "
+                         f"({stats.n}, {stats.d})")
+    return q
+
+
 def _one(b, query, data, labels, query_label, k):
     """Kernel, (1, 2D) signed bounds and query and (1, N) match row of one box."""
     match = (np.asarray(labels) == query_label).astype(np.float64)
-    q = np.asarray(query, dtype=np.float64)
-    return BoxStats(data, k), b.signed()[None], np.concatenate([q, -q])[None], match[None]
+    stats = BoxStats(data, k)
+    q = _queries(query, stats, 1)
+    return stats, b.signed()[None], np.concatenate([q, -q])[None], match[None]
 
 
 def objective(
@@ -205,8 +218,8 @@ def optimize(
     snap, if enabled), then by exact coverage. Infeasibility of the winner
     is flagged on the trace, not raised.
     """
-    q = np.asarray(query, dtype=np.float64)
-    return optimize_many([initial], q[None], BoxStats(data, k), labels, [query_label], cfg)[0]
+    return optimize_many([initial], np.asarray(query)[None], BoxStats(data, k), labels,
+                         [query_label], cfg)[0]
 
 
 def _stretch(stats: BoxStats) -> int:
@@ -235,15 +248,16 @@ def optimize_many(
 ) -> list[tuple[BoxBounds, OptimizationTrace]]:
     """``optimize`` for many queries over one dataset: the ascents step in
     lockstep, in blocks of at most ``BLOCK_BYTES`` of work arrays. Each
-    query's result equals that of ``optimize`` run on it alone."""
+    query's result equals that of ``optimize`` run on it alone. ``queries``
+    is (A, D) for a table of D columns, else a ValueError names both shapes."""
     labels = np.asarray(labels)
+    queries = _queries(queries, stats, 2)
     size = max(1, BLOCK_BYTES // _box_bytes(stats))
     out = []
     for s in range(0, len(initial), size):
         block = slice(s, s + size)
         match = (labels == np.asarray(query_labels[block])[:, None]).astype(np.float64)
-        out += _ascend(stats, initial[block], np.asarray(queries[block], dtype=np.float64),
-                       match, cfg)
+        out += _ascend(stats, initial[block], queries[block], match, cfg)
     return out
 
 

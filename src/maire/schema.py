@@ -411,7 +411,7 @@ def encode(table: RawTable, schema: list[AttributeSchema] | None = None) -> Enco
     """Build the encoded space from a raw table, fitting continuous ranges.
 
     ``schema``, when given, must name the table's attributes in the table's
-    order, and the table must hold one column of equal length for each;
+    order, and the table must hold one 1-D column of equal length for each;
     else a SchemaError names the attribute.
     """
     attrs = list(schema) if schema is not None else list(table.attributes)
@@ -421,8 +421,11 @@ def encode(table: RawTable, schema: list[AttributeSchema] | None = None) -> Enco
     if not attrs or len(table.columns) != len(attrs):
         raise SchemaError(f"table has {len(table.columns)} column(s) for attributes {names}")
     for name, column in zip(names, table.columns):
-        if len(column) != table.n_rows:
-            raise SchemaError(f"column {name!r} has {len(column)} values, "
+        shape = np.shape(column)
+        if len(shape) != 1:
+            raise SchemaError(f"column {name!r} has shape {shape}; a column holds one value per row")
+        if shape != (table.n_rows,):
+            raise SchemaError(f"column {name!r} has {shape[0]} values, "
                               f"but column {names[0]!r} has {table.n_rows}")
     widths = [_width(attr) for attr in attrs]
     attr_of = np.repeat(np.arange(len(attrs), dtype=np.intp), widths)

@@ -100,6 +100,14 @@ class TestStoredColumn:
         with pytest.raises(ProviderError):
             StoredColumnProvider(np.zeros((3, 2)), np.zeros(2, dtype=int))
 
+    @pytest.mark.parametrize("points, labels, message", [
+        ([[0.1], [0.2]], [[0], [1]], r"label column holds \(2, 1\) labels for 2 points"),
+        (np.array([0.1, 0.2]), [0, 1], r"points must be a 2-D batch, got shape \(2,\)")],
+        ids=["2-D labels", "1-D points"])
+    def test_shapes_are_checked_at_construction(self, points, labels, message):
+        with pytest.raises(ProviderError, match=message):
+            StoredColumnProvider(points, labels)
+
     @pytest.mark.parametrize("labels, message", [
         ([0.5, 1.7], "label column holds non-integer labels"),
         ([0.0, math.nan], "label column holds non-integer or out-of-range labels"),
@@ -206,6 +214,13 @@ class TestExternalCommand:
         chunks = (X[:1024], X[1024:2048], X[2048:], X[5:6])
         assert log.read_bytes() == "".join(json.dumps(c.tolist()) + "\n" for c in chunks).encode()
         assert peak < 0.5e6
+
+    def test_points_must_form_a_batch(self):
+        cmd = f"{sys.executable} -c \"[print('[0, 0, 0]', flush=True) for _ in iter(input, None)]\""
+        with ExternalCommandProvider(cmd) as provider:
+            with pytest.raises(ProviderError, match="points must be a 2-D batch"):
+                provider.predict(np.zeros(3))
+            assert provider._proc is None  # rejected before a child is started
 
     def test_nonzero_exit_reported(self):
         with ExternalCommandProvider(f"{sys.executable} -c 'import sys; sys.exit(3)'") as provider:

@@ -406,6 +406,13 @@ class TestBoxBounds:
         with pytest.raises(ValueError):
             BoxBounds(np.array([0.2]), np.array([1.5]))
 
+    @pytest.mark.parametrize("l, u", [([np.nan], [1.0]), ([0.0], [np.nan]),
+                                      ([2.0], [1.0]), ([0.0], [-0.5])],
+                             ids=["nan-lower", "nan-upper", "lower-above-1", "upper-below-0"])
+    def test_nan_or_any_bound_outside_unit_interval_rejected(self, l, u):
+        with pytest.raises(ValueError, match=r"bounds must lie in \[0, 1\]"):
+            BoxBounds(np.array(l), np.array(u))
+
     @given(st.integers(1, 8), st.sampled_from(["random", "full", "empty", "upper-zero"]),
            st.integers(0, 2**32 - 1))
     def test_signed_bounds_round_trip(self, d, mode, seed):

@@ -185,6 +185,21 @@ class TestGradient:
         assert np.isfinite(objective(b, q, X, labels, 1, cfg, k))
 
 
+@pytest.mark.parametrize("run, shape", [
+    (lambda b, q, X, labels: objective(b, q, X, labels, 1, OptimizerConfig()), r"\(1,\)"),
+    (lambda b, q, X, labels: gradient(b, q, X, labels, 1, OptimizerConfig()), r"\(1,\)"),
+    (lambda b, q, X, labels: optimize_module.optimize_many(
+        [b], q[None], BoxStats(X), labels, [1], OptimizerConfig(max_iters=1)), r"\(1, 1\)"),
+], ids=["objective", "gradient", "optimize_many"])
+def test_query_of_another_width_is_named(run, shape):
+    """A 1-wide query on a 2-column table once failed inside numpy's broadcast."""
+    X = np.random.default_rng(0).random((40, 2))
+    b = BoxBounds(np.zeros(2), np.ones(2))
+    with pytest.raises(ValueError, match=rf"queries of shape {shape} do not fit a table of "
+                                         r"shape \(40, 2\)"):
+        run(b, np.array([0.5]), X, np.ones(40, dtype=int))
+
+
 class TestOptimize:
     def test_bounds_stay_in_unit_cube(self):
         rng = np.random.default_rng(4)
@@ -356,6 +371,8 @@ class TestConfig:
         dict(lambda2=float("nan")),
         dict(lambda2=float("inf")),
         dict(lambda2=float("-inf")),
+        dict(max_iters=2.5),
+        dict(max_iters=True),
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_invalid_ascent_settings_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
@@ -363,6 +380,7 @@ class TestConfig:
 
     def test_boundary_settings_accepted(self):
         OptimizerConfig(lambda1=0.0, lambda2=0.0)
+        OptimizerConfig(max_iters=np.int64(1))
 
 
 class TestBlockBudget:

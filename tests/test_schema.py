@@ -474,6 +474,17 @@ class TestEncode:
         with pytest.raises(SchemaError, match="column 'income' has 2 values, but column 'age' has 3"):
             encode(table)
 
+    @pytest.mark.parametrize("columns, message", [
+        ([np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 2.0])],
+         r"column 'age' has shape \(2, 2\); a column holds one value per row"),
+        ([np.array([20.0, 30.0]), np.float64(1.0)],
+         r"column 'income' has shape \(\); a column holds one value per row")],
+        ids=["2-D", "0-D"])
+    def test_column_that_is_not_1d_is_named(self, columns, message):
+        age, income, _ = self.age_income()
+        with pytest.raises(SchemaError, match=message):
+            encode(RawTable([age, income], columns))
+
     def test_clamp_warning_is_single_line_record(self, caplog):
         import logging
 
